@@ -182,6 +182,7 @@ impl Backend for CpuBackend {
                     None
                 };
                 Ok(Box::new(FullyConnectedExec {
+                    kernels: hint.kernel_set(),
                     weight,
                     bias,
                     in_features: *in_features,
@@ -262,7 +263,15 @@ fn create_conv(
     let scheme = hint
         .conv_scheme
         .unwrap_or_else(|| CpuBackend::default_conv_scheme(&params));
-    build_float_conv_exec(params, scheme, weight, bias, fused, threads)
+    build_float_conv_exec(
+        params,
+        scheme,
+        weight,
+        bias,
+        fused,
+        hint.kernel_set(),
+        threads,
+    )
 }
 
 /// Convolution over int8 weights. The integer scheme captures the i8 weights
@@ -278,6 +287,7 @@ fn create_conv_quantized(
     hint: &SchemeHint,
     threads: usize,
 ) -> Result<Box<dyn Execution>, BackendError> {
+    let kernels = hint.kernel_set();
     let weight = CpuBackend::constant(graph, node.inputs[1], "quantized conv weight")?;
     let weight_q = weight.try_data_i8().map_err(|_| {
         BackendError::InvalidTensor(format!(
@@ -307,7 +317,7 @@ fn create_conv_quantized(
         scheme,
         ConvScheme::QuantizedGemm | ConvScheme::QuantizedGemmSimd
     ) {
-        let kernel_backend = kernel_backend_for(scheme)?;
+        let kernel_backend = kernel_backend_for(scheme, kernels)?;
         return Ok(Box::new(QuantConvExec {
             params,
             scheme,
@@ -322,24 +332,27 @@ fn create_conv_quantized(
     // f32 fallback: dequantize the weights once and run the float kernels.
     let dequantized = quant::dequantize_per_channel(weight_q, &quant.weight_scales);
     let weight_f32 = Arc::new(Tensor::from_vec(weight.shape().clone(), dequantized));
-    build_float_conv_exec(params, scheme, weight_f32, bias, fused, threads)
+    build_float_conv_exec(params, scheme, weight_f32, bias, fused, kernels, threads)
 }
 
 /// Resolve the kernel backend `scheme` dispatches to. SIMD schemes require
-/// the host's active kernel backend to be vectorized; otherwise `on_create`
-/// fails here, which makes the tuner skip the candidate and lets stale cache
-/// entries from a SIMD host degrade to re-tuning instead of mis-dispatching.
-fn kernel_backend_for(scheme: ConvScheme) -> Result<KernelBackend, BackendError> {
+/// the session's kernel set (`kernels`) to be vectorized; otherwise
+/// `on_create` fails here, which makes the tuner skip the candidate and lets
+/// stale cache entries from a SIMD host degrade to re-tuning instead of
+/// mis-dispatching.
+fn kernel_backend_for(
+    scheme: ConvScheme,
+    kernels: KernelBackend,
+) -> Result<KernelBackend, BackendError> {
     if !scheme.is_simd() {
         return Ok(KernelBackend::Scalar);
     }
-    let active = KernelBackend::active();
-    if active.is_simd() {
-        Ok(active)
+    if kernels.is_simd() {
+        Ok(kernels)
     } else {
         Err(BackendError::UnavailableScheme {
             scheme: scheme.to_string(),
-            kernel_set: active.name().to_string(),
+            kernel_set: kernels.name().to_string(),
         })
     }
 }
@@ -350,6 +363,7 @@ fn build_float_conv_exec(
     weight: Arc<Tensor>,
     bias: Option<Arc<Tensor>>,
     fused: ActivationKind,
+    kernels: KernelBackend,
     threads: usize,
 ) -> Result<Box<dyn Execution>, BackendError> {
     if matches!(
@@ -360,7 +374,7 @@ fn build_float_conv_exec(
             "the quantized-gemm scheme requires i8 weights (float convolution given)".into(),
         ));
     }
-    let kernel_backend = kernel_backend_for(scheme)?;
+    let kernel_backend = kernel_backend_for(scheme, kernels)?;
     let prepared = match scheme {
         ConvScheme::Winograd { tile } | ConvScheme::WinogradSimd { tile } => Some(
             winograd::prepare_winograd_weights(&params, tile, weight.data_f32()),
@@ -749,6 +763,8 @@ impl Execution for ScaleExec {
 }
 
 struct FullyConnectedExec {
+    /// The session's kernel set (`SchemeHint::kernels`).
+    kernels: KernelBackend,
     weight: Arc<Tensor>,
     bias: Option<Arc<Tensor>>,
     in_features: usize,
@@ -770,7 +786,8 @@ impl Execution for FullyConnectedExec {
         let batch = total / self.in_features;
         let empty: &[f32] = &[];
         let bias = self.bias.as_ref().map(|t| t.data_f32()).unwrap_or(empty);
-        let data = fc::fully_connected(
+        let data = fc::fully_connected_with(
+            self.kernels,
             self.threads,
             batch,
             self.in_features,
@@ -881,6 +898,7 @@ mod tests {
             &SchemeHint {
                 conv_scheme: Some(ConvScheme::SlidingWindow),
                 threads: Some(1),
+                kernels: None,
             },
         );
         for scheme in [
@@ -895,6 +913,7 @@ mod tests {
                 &SchemeHint {
                     conv_scheme: Some(scheme),
                     threads: Some(2),
+                    kernels: None,
                 },
             );
             assert_eq!(got.shape(), reference.shape());

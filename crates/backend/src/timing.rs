@@ -90,6 +90,7 @@ mod tests {
         let hint = SchemeHint {
             conv_scheme: Some(ConvScheme::SlidingWindow),
             threads: Some(1),
+            kernels: None,
         };
         let mut exec = backend.on_create(&g.nodes()[0], &g, &hint).unwrap();
         let input = Tensor::zeros(mnn_tensor::Shape::nchw(1, 3, 8, 8));

@@ -3,6 +3,7 @@
 use crate::memory::BufferAllocator;
 use crate::BackendError;
 use mnn_graph::{Graph, Node};
+use mnn_kernels::simd::KernelBackend;
 use mnn_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -261,6 +262,19 @@ pub struct SchemeHint {
     pub conv_scheme: Option<ConvScheme>,
     /// Thread-count override.
     pub threads: Option<usize>,
+    /// The session's kernel set; `None` means the host's active one
+    /// ([`KernelBackend::active`]). A scalar-pinned session passes
+    /// `Some(KernelBackend::Scalar)`, which also runs kernels that have no
+    /// scheme to choose (fully-connected) on the scalar path.
+    pub kernels: Option<KernelBackend>,
+}
+
+impl SchemeHint {
+    /// The kernel set executions created with this hint run:
+    /// [`kernels`](Self::kernels), or the host's active set when unset.
+    pub fn kernel_set(&self) -> KernelBackend {
+        self.kernels.unwrap_or_else(KernelBackend::active)
+    }
 }
 
 /// A ready-to-run operator instance (MNN's `Execution`).

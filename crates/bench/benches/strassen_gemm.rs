@@ -1,8 +1,11 @@
-//! Criterion bench behind Table 3: direct blocked GEMM versus Strassen.
+//! Criterion benches for the GEMM kernels: direct blocked GEMM versus
+//! Strassen (Table 3), and the narrow-output crossover between the SIMD
+//! micro-kernel and the dot-product GEMM that `im2col-simd` relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mnn_bench::deterministic_buffer;
-use mnn_kernels::gemm::gemm;
+use mnn_kernels::gemm::{gemm, gemm_mt_with, gemm_nt_with};
+use mnn_kernels::simd::KernelBackend;
 use mnn_kernels::strassen::strassen;
 use std::time::Duration;
 
@@ -31,5 +34,32 @@ fn bench_strassen(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_strassen);
+/// The `[512, 4608] x [4608, n]` product of a 3x3, 512-channel convolution
+/// (ResNet-18 layer 4) over output widths `n = out_h*out_w` around the
+/// micro-kernel's column tile (16 on AVX2, 8 on NEON), on the active kernel
+/// set with 2 threads: the micro-kernel reads patches as `[k, n]`, the
+/// dot-product GEMM as `[n, k]`.
+fn bench_narrow(c: &mut Criterion) {
+    let kb = KernelBackend::active();
+    let (m, k) = (512, 4608);
+    let mut group = c.benchmark_group("narrow_gemm");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(200));
+    let weight = deterministic_buffer(m * k, 3);
+    for n in [1, 4, 8, 9, 15, 16, 24] {
+        let patches = deterministic_buffer(k * n, 4);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_with_input(BenchmarkId::new("micro-kernel", n), &n, |bench, _| {
+            bench.iter(|| gemm_mt_with(kb, 2, m, k, n, &weight, &patches, &mut out))
+        });
+        group.bench_with_input(BenchmarkId::new("dot-product", n), &n, |bench, _| {
+            bench.iter(|| gemm_nt_with(kb, 2, m, k, n, &weight, &patches, &mut out))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_strassen, bench_narrow);
 criterion_main!(benches);

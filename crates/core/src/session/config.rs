@@ -2,6 +2,7 @@
 
 use crate::scheme::CostModel;
 use mnn_backend::{ForwardType, GpuProfile};
+use mnn_kernels::simd::KernelBackend;
 use mnn_obs::Profiler;
 use mnn_tune::TuningMode;
 use std::path::PathBuf;
@@ -52,7 +53,8 @@ pub struct SessionConfig {
     /// the sessions of a pool to profile a whole server.
     pub profiler: Option<Arc<Profiler>>,
     /// Exclude SIMD kernel variants from this session's tuning candidate
-    /// pools, pinning every convolution to the scalar kernels. The process-wide
+    /// pools, pinning every convolution to the scalar kernels, and run the
+    /// kernels without a scheme choice (fully-connected) scalar. The process-wide
     /// equivalent is `MNN_SIMD=scalar`; this knob scopes it to one session
     /// (e.g. for scalar-vs-SIMD A/B measurements in the same process).
     pub force_scalar: bool,
@@ -106,6 +108,17 @@ impl SessionConfig {
         SessionConfig {
             threads,
             ..SessionConfig::default()
+        }
+    }
+
+    /// The kernel set this session's executions run: scalar when
+    /// [`force_scalar`](Self::force_scalar) is set, the host's active set
+    /// (which honours `MNN_SIMD`) otherwise.
+    pub(crate) fn kernels(&self) -> KernelBackend {
+        if self.force_scalar {
+            KernelBackend::Scalar
+        } else {
+            KernelBackend::active()
         }
     }
 
@@ -211,7 +224,8 @@ impl SessionConfigBuilder {
 
     /// Keep this session on the scalar kernels: SIMD scheme variants are
     /// dropped from the tuning candidate pools (and cached SIMD winners are
-    /// therefore rejected by the candidate-membership guard). Default `false`.
+    /// therefore rejected by the candidate-membership guard), and
+    /// fully-connected layers run their scalar variant. Default `false`.
     pub fn force_scalar(mut self, force: bool) -> Self {
         self.config.force_scalar = force;
         self

@@ -215,6 +215,7 @@ pub(super) fn build_plan(
     let mut scheduled = Vec::with_capacity(order.len());
     let mut report_placements = Vec::with_capacity(order.len());
     let mut tuned_nodes = 0usize;
+    let kernels = config.kernels();
     // Executions prepared as tuning winners, installed into the plan below so
     // the measured kernel (including its Winograd weight transform) is not
     // re-created.
@@ -335,6 +336,7 @@ pub(super) fn build_plan(
         let hint = SchemeHint {
             conv_scheme: selected_scheme,
             threads: Some(config.threads),
+            kernels: Some(kernels),
         };
         report_placements.push(NodePlacement {
             node: *node_id,

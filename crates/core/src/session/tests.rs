@@ -568,3 +568,44 @@ fn scheme_changes_across_resize_are_visible_in_the_report() {
     assert!(small.iter().all(Option::is_some));
     assert!(large.iter().all(Option::is_some));
 }
+
+#[test]
+fn force_scalar_fully_connected_is_the_naive_gemm_bit_for_bit() {
+    // Large enough (600 x 1000) for the kernel's threaded split.
+    let (inf, outf) = (600usize, 1000usize);
+    let weight: Vec<f32> = (0..outf * inf)
+        .map(|v| ((v * 7 % 101) as f32 - 50.0) * 0.013)
+        .collect();
+    let bias: Vec<f32> = (0..outf).map(|v| (v % 9) as f32 * 0.1 - 0.4).collect();
+    let mut b = GraphBuilder::new("fc-only");
+    let x = b.input("x", Shape::matrix(1, inf));
+    let w = b.constant(
+        "w",
+        Tensor::from_vec(Shape::matrix(outf, inf), weight.clone()),
+    );
+    let bi = b.constant("b", Tensor::from_vec(Shape::vector(outf), bias.clone()));
+    let y = b.fully_connected("fc", x, w, Some(bi), inf, outf);
+    let interpreter = Interpreter::from_graph(b.build(vec![y])).unwrap();
+    let config = SessionConfig::builder()
+        .threads(2)
+        .force_scalar(true)
+        .build();
+    let mut session = interpreter.create_session(config).unwrap();
+    let input: Vec<f32> = (0..inf).map(|v| ((v % 31) as f32 - 15.0) * 0.07).collect();
+    let outputs = session
+        .run(&[Tensor::from_vec(Shape::matrix(1, inf), input.clone())])
+        .unwrap();
+
+    let mut weight_t = vec![0.0f32; inf * outf];
+    for o in 0..outf {
+        for i in 0..inf {
+            weight_t[i * outf + o] = weight[o * inf + i];
+        }
+    }
+    let mut expected = vec![0.0f32; outf];
+    mnn_kernels::gemm::gemm_naive(1, inf, outf, &input, &weight_t, &mut expected);
+    for (v, b) in expected.iter_mut().zip(&bias) {
+        *v += b;
+    }
+    assert_eq!(outputs[0].data_f32(), &expected[..]);
+}

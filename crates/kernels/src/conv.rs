@@ -7,7 +7,7 @@
 //!
 //! All kernels consume/produce NCHW `f32` buffers; `mnn-backend` handles packing.
 
-use crate::gemm::gemm_mt_with;
+use crate::gemm::{gemm_mt_with, gemm_nt_with};
 use crate::simd::{axpy_f32, KernelBackend};
 use crate::strassen::strassen;
 
@@ -373,8 +373,16 @@ pub fn conv2d_im2col(
 
 /// [`conv2d_im2col`] with an explicit [`KernelBackend`] for the GEMM stage.
 ///
-/// The unfold stage is identical across backends; only the `[oc, ic*kh*kw] ×
-/// [ic*kh*kw, out_h*out_w]` product dispatches to the SIMD micro-kernels.
+/// The scalar backend unfolds patches as `[ic*kh*kw, out_h*out_w]` and runs
+/// the `[oc, ic*kh*kw] × [ic*kh*kw, out_h*out_w]` product on the blocked GEMM;
+/// SIMD backends run the same product on the register-tiled micro-kernels,
+/// which vectorize over output columns. An output with fewer columns
+/// (`out_h*out_w`) than the micro-kernel's column tile — 16 on AVX2, 8 on
+/// NEON, e.g. the 2×2 and 1×1 late layers of a small input — runs partly or
+/// wholly in its scalar column remainder, unless it is exactly one vector
+/// wide (8 on AVX2, 4 on NEON). There the patches are unfolded transposed,
+/// `[out_h*out_w, ic*kh*kw]`, and the dot-product GEMM ([`gemm_nt_with`])
+/// vectorizes over the reduction axis instead.
 ///
 /// # Panics
 ///
@@ -397,6 +405,13 @@ pub fn conv2d_im2col_with(
     let (pad_h, pad_w) = params.resolve_padding(in_h, in_w);
     let k_dim = params.in_channels * params.kernel_h * params.kernel_w;
     let n_dim = out_h * out_w;
+    // Narrower than the micro-kernel's two-vector column tile and not a whole
+    // vector (every n < 16 but 8 on AVX2): some columns would run scalar.
+    let lanes = kb.f32_lanes();
+    let narrow = kb.is_simd() && n_dim < 2 * lanes && n_dim % lanes != 0;
+    // Element (patch row `r`, output pixel `j`) of the unfolded matrix sits at
+    // `r * row_stride + j * col_stride`: `[k, n]`, or `[n, k]` when narrow.
+    let (row_stride, col_stride) = if narrow { (1, k_dim) } else { (n_dim, 1) };
     let mut output = vec![0.0f32; batch * params.out_channels * n_dim];
     let mut col = vec![0.0f32; k_dim * n_dim];
 
@@ -408,7 +423,6 @@ pub fn conv2d_im2col_with(
             for ky in 0..params.kernel_h {
                 for kx in 0..params.kernel_w {
                     let row = (ic * params.kernel_h + ky) * params.kernel_w + kx;
-                    let col_row = &mut col[row * n_dim..(row + 1) * n_dim];
                     for oy in 0..out_h {
                         let iy = (oy * params.stride_h + ky * params.dilation_h) as isize
                             - pad_h as isize;
@@ -421,25 +435,40 @@ pub fn conv2d_im2col_with(
                             if ix < 0 || ix >= in_w as isize {
                                 continue;
                             }
-                            col_row[oy * out_w + ox] = in_plane[iy as usize * in_w + ix as usize];
+                            col[row * row_stride + (oy * out_w + ox) * col_stride] =
+                                in_plane[iy as usize * in_w + ix as usize];
                         }
                     }
                 }
             }
         }
-        // GEMM: [oc, k_dim] x [k_dim, n_dim]
         let out_block =
             &mut output[b * params.out_channels * n_dim..][..params.out_channels * n_dim];
-        gemm_mt_with(
-            kb,
-            threads,
-            params.out_channels,
-            k_dim,
-            n_dim,
-            weight,
-            &col,
-            out_block,
-        );
+        if narrow {
+            // GEMM: [oc, k_dim] x [n_dim, k_dim]^T
+            gemm_nt_with(
+                kb,
+                threads,
+                params.out_channels,
+                k_dim,
+                n_dim,
+                weight,
+                &col,
+                out_block,
+            );
+        } else {
+            // GEMM: [oc, k_dim] x [k_dim, n_dim]
+            gemm_mt_with(
+                kb,
+                threads,
+                params.out_channels,
+                k_dim,
+                n_dim,
+                weight,
+                &col,
+                out_block,
+            );
+        }
         if params.has_bias {
             for oc in 0..params.out_channels {
                 let bias_v = bias[oc];

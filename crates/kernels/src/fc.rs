@@ -1,6 +1,7 @@
 //! Fully-connected (inner product) kernel.
 
-use crate::gemm::gemm_mt;
+use crate::gemm::gemm_nt_with;
+use crate::simd::KernelBackend;
 
 /// Fully-connected layer: `y = x · Wᵀ + b`.
 ///
@@ -8,10 +9,18 @@ use crate::gemm::gemm_mt;
 /// (the Caffe/ONNX convention), `bias` is `[out_features]` or empty; the result is
 /// `[batch, out_features]`.
 ///
+/// The stored weight is the `B` operand of the dot-product GEMM
+/// ([`gemm_nt_with`]) as is: nothing is transposed or copied, at run time or
+/// at preparation time. Work is split over the larger of `batch` and
+/// `out_features`, so a batch-1 layer still uses every thread. With
+/// [`KernelBackend::Scalar`] each output is the index-order sum of the naive
+/// GEMM on `Wᵀ`, bit for bit, plus the bias.
+///
 /// # Panics
 ///
 /// Panics if slice lengths are inconsistent.
-pub fn fully_connected(
+pub fn fully_connected_with(
+    kb: KernelBackend,
     threads: usize,
     batch: usize,
     in_features: usize,
@@ -29,16 +38,15 @@ pub fn fully_connected(
     if !bias.is_empty() {
         assert_eq!(bias.len(), out_features, "bias length mismatch");
     }
-    // y[b][o] = sum_i x[b][i] * w[o][i]  ==  X (batch x in) * W^T (in x out)
-    let weight_t = crate::gemm::transpose(out_features, in_features, weight);
     let mut output = vec![0.0f32; batch * out_features];
-    gemm_mt(
+    gemm_nt_with(
+        kb,
         threads,
         batch,
         in_features,
         out_features,
         input,
-        &weight_t,
+        weight,
         &mut output,
     );
     if !bias.is_empty() {
@@ -67,7 +75,7 @@ mod tests {
             0.5, 0.5, 0.5, // out 1
         ];
         let bias = vec![10.0, -1.0];
-        let out = fully_connected(1, 1, 3, 2, &input, &weight, &bias);
+        let out = fully_connected_with(KernelBackend::Scalar, 1, 1, 3, 2, &input, &weight, &bias);
         assert_eq!(out, vec![1.0 - 3.0 + 10.0, 3.0 - 1.0]);
     }
 
@@ -77,7 +85,16 @@ mod tests {
         let (batch, inf, outf) = (3usize, 8usize, 5usize);
         let input: Vec<f32> = (0..batch * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let weight: Vec<f32> = (0..outf * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let out = fully_connected(2, batch, inf, outf, &input, &weight, &[]);
+        let out = fully_connected_with(
+            KernelBackend::Scalar,
+            2,
+            batch,
+            inf,
+            outf,
+            &input,
+            &weight,
+            &[],
+        );
         for b in 0..batch {
             for o in 0..outf {
                 let expected: f32 = (0..inf)
@@ -91,7 +108,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight length mismatch")]
     fn rejects_bad_weight_shape() {
-        fully_connected(1, 1, 3, 2, &[0.0; 3], &[0.0; 5], &[]);
+        fully_connected_with(KernelBackend::Scalar, 1, 1, 3, 2, &[0.0; 3], &[0.0; 5], &[]);
+    }
+
+    #[test]
+    fn scalar_fc_is_naive_gemm_on_the_transposed_weight_plus_bias() {
+        let mut rng = StdRng::seed_from_u64(2);
+        // 600 x 1000 is large enough for the threaded split.
+        for &(batch, inf, outf) in &[(1usize, 7usize, 3usize), (1, 600, 1000), (3, 600, 1000)] {
+            let input: Vec<f32> = (0..batch * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let weight: Vec<f32> = (0..outf * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let bias: Vec<f32> = (0..outf).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut weight_t = vec![0.0f32; inf * outf];
+            for o in 0..outf {
+                for i in 0..inf {
+                    weight_t[i * outf + o] = weight[o * inf + i];
+                }
+            }
+            let mut expected = vec![0.0f32; batch * outf];
+            crate::gemm::gemm_naive(batch, inf, outf, &input, &weight_t, &mut expected);
+            for (v, b) in expected.iter_mut().zip(bias.iter().cycle()) {
+                *v += b;
+            }
+            for threads in 1..=4 {
+                let got = fully_connected_with(
+                    KernelBackend::Scalar,
+                    threads,
+                    batch,
+                    inf,
+                    outf,
+                    &input,
+                    &weight,
+                    &bias,
+                );
+                assert_eq!(
+                    got, expected,
+                    "batch {batch}, {inf}->{outf}, {threads} threads"
+                );
+            }
+        }
     }
 
     proptest! {
@@ -105,8 +160,8 @@ mod tests {
             let input: Vec<f32> = (0..inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let doubled: Vec<f32> = input.iter().map(|v| v * 2.0).collect();
             let weight: Vec<f32> = (0..outf * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let y1 = fully_connected(1, 1, inf, outf, &input, &weight, &[]);
-            let y2 = fully_connected(1, 1, inf, outf, &doubled, &weight, &[]);
+            let y1 = fully_connected_with(KernelBackend::Scalar, 1, 1, inf, outf, &input, &weight, &[]);
+            let y2 = fully_connected_with(KernelBackend::Scalar, 1, 1, inf, outf, &doubled, &weight, &[]);
             for (a, b) in y1.iter().zip(&y2) {
                 prop_assert!((2.0 * a - b).abs() < 1e-4);
             }

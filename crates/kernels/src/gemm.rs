@@ -5,16 +5,23 @@
 //! so every operator built on top of it (1×1 convolution, the Winograd Hadamard
 //! stage, fully-connected layers, im2col convolution) benefits automatically.
 //!
-//! Three float GEMM variants are provided:
+//! Four float GEMM variants are provided:
 //!
 //! * [`gemm_naive`] — the textbook triple loop, used as the correctness reference.
 //! * [`gemm`] — a cache-blocked, register-tiled single-threaded kernel.
 //! * [`gemm_mt`] — the blocked kernel parallelized over output row blocks.
+//! * [`gemm_nt_with`] — the dot-product kernel `C = A × Bᵀ` with `B: [n, k]`,
+//!   vectorized over the reduction axis. It serves products with too few
+//!   output columns for the others' column tile: fully-connected layers,
+//!   whose stored `[out, in]` weight is `B` as is, and SIMD im2col
+//!   convolutions whose output is narrower than the micro-kernel's 16 (AVX2)
+//!   or 8 (NEON) columns and not exactly one vector wide.
 //!
-//! All compute `C = A × B` with `A: [m, k]`, `B: [k, n]`, `C: [m, n]`, row-major.
+//! The first three compute `C = A × B` with `A: [m, k]`, `B: [k, n]`,
+//! `C: [m, n]`, row-major.
 
-use crate::parallel::parallel_chunks_mut;
-use crate::simd::{gemm_accumulate_simd, KernelBackend};
+use crate::parallel::{parallel_chunks_mut, parallel_larger_axis};
+use crate::simd::{dot_tile_f32, gemm_accumulate_simd, KernelBackend, DOT_TILE_ROWS};
 
 /// Blocking factor along the `k` (reduction) dimension.
 const BLOCK_K: usize = 256;
@@ -77,22 +84,10 @@ pub fn gemm_with(
     gemm_accumulate_with(kb, m, k, n, a, b, c);
 }
 
-/// Blocked GEMM that *accumulates* into `c` (`c += a × b`).
-///
-/// Used by Strassen recombination and by kernels that sum partial products over
-/// input-channel blocks.
-///
-/// # Panics
-///
-/// Panics if any slice length does not match its dimensions.
-pub fn gemm_accumulate(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    check_dims(m, k, n, a, b, c);
-    gemm_accumulate_scalar(m, k, n, a, b, c);
-}
-
-/// [`gemm_accumulate`] with an explicit [`KernelBackend`]. SIMD results differ
-/// from scalar only by FMA rounding (same reduction order over `k`); see
-/// `tests/simd_conformance.rs` for the documented tolerance.
+/// Blocked GEMM that *accumulates* into `c` (`c += a × b`) on the given
+/// [`KernelBackend`]. SIMD results differ from scalar only by FMA rounding
+/// (same reduction order over `k`); see `tests/simd_conformance.rs` for the
+/// documented tolerance.
 ///
 /// # Panics
 ///
@@ -173,28 +168,50 @@ pub fn gemm_mt_with(
     });
 }
 
-/// `c += alpha * a × b + beta * c_prev` convenience used by fused operators.
-/// `c` must already hold `c_prev`.
+/// Dot-product GEMM: `c = a × bᵀ`, with `a: [m, k]`, `b: [n, k]` and
+/// `c: [m, n]`, all row-major (`k` contiguous in both operands).
+///
+/// Every output is one `k`-deep dot product. The scalar backend sums it in
+/// index order, bit-identical to [`gemm_naive`] on `bᵀ`; SIMD backends keep
+/// independent lane accumulators and reduce once per output. Work is split
+/// over the larger of `m` and `n`: each row of that operand is read once per
+/// register tile of up to four rows of the other, which stay in cache.
 ///
 /// # Panics
 ///
 /// Panics if any slice length does not match its dimensions.
-pub fn gemm_scaled(
+pub fn gemm_nt_with(
+    kb: KernelBackend,
+    threads: usize,
     m: usize,
     k: usize,
     n: usize,
-    alpha: f32,
     a: &[f32],
     b: &[f32],
-    beta: f32,
     c: &mut [f32],
 ) {
-    check_dims(m, k, n, a, b, c);
-    let mut tmp = vec![0.0f32; m * n];
-    gemm_accumulate(m, k, n, a, b, &mut tmp);
-    for (dst, src) in c.iter_mut().zip(tmp.iter()) {
-        *dst = alpha * src + beta * *dst;
-    }
+    assert_eq!(a.len(), m * k, "A must be m*k = {} elements", m * k);
+    assert_eq!(b.len(), n * k, "B must be n*k = {} elements", n * k);
+    parallel_larger_axis(threads, m, n, k, c, |transposed, first, block| {
+        // Orient so that `outer` is the split operand: rows of c, or of cᵀ.
+        let (outer, inner, width) = if transposed { (b, a, m) } else { (a, b, n) };
+        if width == 1 {
+            // One inner row: tile over the outer rows instead, which lie
+            // contiguous in memory, so a tile still covers four outputs.
+            for (t, c_tile) in block.chunks_mut(DOT_TILE_ROWS).enumerate() {
+                let i = first + t * DOT_TILE_ROWS;
+                dot_tile_f32(kb, inner, &outer[i * k..(i + c_tile.len()) * k], c_tile);
+            }
+            return;
+        }
+        for (i, c_row) in block.chunks_mut(width).enumerate() {
+            let row = &outer[(first + i) * k..][..k];
+            for (t, c_tile) in c_row.chunks_mut(DOT_TILE_ROWS).enumerate() {
+                let j = t * DOT_TILE_ROWS;
+                dot_tile_f32(kb, row, &inner[j * k..(j + c_tile.len()) * k], c_tile);
+            }
+        }
+    });
 }
 
 /// Number of scalar multiplications a direct `[m,k]×[k,n]` product performs.
@@ -208,18 +225,6 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
     assert_eq!(a.len(), m * k, "A must be m*k = {} elements", m * k);
     assert_eq!(b.len(), k * n, "B must be k*n = {} elements", k * n);
     assert_eq!(c.len(), m * n, "C must be m*n = {} elements", m * n);
-}
-
-/// Transpose a row-major `[rows, cols]` matrix into a new `[cols, rows]` buffer.
-pub fn transpose(rows: usize, cols: usize, src: &[f32]) -> Vec<f32> {
-    assert_eq!(src.len(), rows * cols);
-    let mut dst = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            dst[c * rows + r] = src[r * cols + c];
-        }
-    }
-    dst
 }
 
 #[cfg(test)]
@@ -279,25 +284,8 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0]; // 2x2
         let b = vec![1.0, 0.0, 0.0, 1.0]; // identity
         let mut c = vec![10.0, 10.0, 10.0, 10.0];
-        gemm_accumulate(2, 2, 2, &a, &b, &mut c);
+        gemm_accumulate_with(KernelBackend::Scalar, 2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0]);
-    }
-
-    #[test]
-    fn scaled_gemm_applies_alpha_beta() {
-        let a = vec![1.0, 0.0, 0.0, 1.0];
-        let b = vec![2.0, 0.0, 0.0, 2.0];
-        let mut c = vec![1.0, 1.0, 1.0, 1.0];
-        gemm_scaled(2, 2, 2, 0.5, &a, &b, 2.0, &mut c);
-        assert_eq!(c, vec![3.0, 2.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
-        let t = transpose(2, 3, &m);
-        assert_eq!(t, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        assert_eq!(transpose(3, 2, &t), m);
     }
 
     #[test]
@@ -310,6 +298,36 @@ mod tests {
     fn dimension_mismatch_panics() {
         let mut c = vec![0.0; 4];
         gemm(2, 2, 2, &[0.0; 3], &[0.0; 4], &mut c);
+    }
+
+    #[test]
+    fn scalar_dot_product_gemm_is_naive_on_the_transpose_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Both orientations (m >= n and n > m, incl. m == 1 and n == 1), with
+        // and without the threaded split.
+        for &(m, k, n) in &[
+            (1, 9, 1),
+            (6, 33, 2),
+            (1, 600, 1000),
+            (3, 200, 1000),
+            (700, 800, 1),
+        ] {
+            let a = random_matrix(&mut rng, m * k);
+            let b_t = random_matrix(&mut rng, n * k);
+            let mut b = vec![0.0f32; k * n];
+            for j in 0..n {
+                for p in 0..k {
+                    b[p * n + j] = b_t[j * k + p];
+                }
+            }
+            let mut c_ref = vec![0.0; m * n];
+            gemm_naive(m, k, n, &a, &b, &mut c_ref);
+            for threads in [1, 2, 3] {
+                let mut c = vec![f32::NAN; m * n];
+                gemm_nt_with(KernelBackend::Scalar, threads, m, k, n, &a, &b_t, &mut c);
+                assert_eq!(c, c_ref, "({m},{k},{n}) at {threads} threads");
+            }
+        }
     }
 
     #[test]

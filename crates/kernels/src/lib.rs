@@ -4,7 +4,9 @@
 //! Section 3.3) the engine needs, all in safe Rust:
 //!
 //! * [`gemm`] — single- and multi-threaded blocked matrix multiplication, the basic
-//!   compute-intensive unit MNN optimizes once and reuses everywhere (Section 3.5).
+//!   compute-intensive unit MNN optimizes once and reuses everywhere (Section 3.5),
+//!   plus the dot-product kernel for narrow products (fully-connected layers,
+//!   small convolution outputs).
 //! * [`strassen`] — Strassen matrix multiplication with the paper's cost-based
 //!   recursion-stop condition (Eq. 9), used for 1×1 convolutions / large GEMMs.
 //! * [`winograd`] — a *Winograd generator* producing `A`, `B`, `G` transform matrices

@@ -12,7 +12,7 @@
 //! one by one — the property `mnn-serve`'s dynamic batcher relies on.
 
 use crate::conv::ConvParams;
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::{parallel_chunks_mut, parallel_larger_axis};
 use crate::simd::{i8_axpy2_i32, i8_axpy_i32, KernelBackend};
 
 /// Quantization parameters for a symmetric int8 scheme: `real = scale * quantized`.
@@ -377,8 +377,11 @@ pub fn conv2d_quantized_with(
 /// Quantized fully-connected layer: `y = x · Wᵀ + b` with int8 weights.
 ///
 /// `weight_q` is `[out_features, in_features]` with one scale per output feature;
-/// each input row (sample) is quantized with its own symmetric scale, keeping
-/// batched runs bit-identical to per-sample runs. Accumulation is in `i32`.
+/// each input row (sample) is quantized once, with its own symmetric scale, keeping
+/// batched runs bit-identical to per-sample runs. Accumulation is in `i32`, so
+/// the result is also the same for every thread count. Work is split over the
+/// larger of `batch` and `out_features`, as in float
+/// [`fully_connected_with`](crate::fc::fully_connected_with).
 ///
 /// # Panics
 ///
@@ -408,26 +411,45 @@ pub fn fully_connected_quantized(
     if !bias.is_empty() {
         assert_eq!(bias.len(), out_features, "bias length mismatch");
     }
+    // Quantize each input row (sample) once, with its own scale.
+    let mut input_q = Vec::with_capacity(batch * in_features);
+    let mut input_scales = Vec::with_capacity(batch);
+    for b in 0..batch {
+        let row = &input[b * in_features..(b + 1) * in_features];
+        let p = QuantParams::from_data(row);
+        input_q.extend(row.iter().map(|&v| quantize_value(v, p.scale)));
+        input_scales.push(p.scale);
+    }
     let mut output = vec![0.0f32; batch * out_features];
-    parallel_chunks_mut(threads, &mut output, out_features, |first_row, rows| {
-        for (r, row_out) in rows.chunks_mut(out_features).enumerate() {
-            let b = first_row + r;
-            let row = &input[b * in_features..(b + 1) * in_features];
-            let p = QuantParams::from_data(row);
-            let row_q: Vec<i8> = row.iter().map(|&v| quantize_value(v, p.scale)).collect();
-            for (o, out) in row_out.iter_mut().enumerate() {
-                let w_row = &weight_q[o * in_features..(o + 1) * in_features];
-                let mut acc: i32 = 0;
-                for (&x, &w) in row_q.iter().zip(w_row) {
-                    acc += x as i32 * w as i32;
-                }
-                *out = acc as f32 * (p.scale * weight_scales[o]);
-                if !bias.is_empty() {
-                    *out += bias[o];
+    parallel_larger_axis(
+        threads,
+        batch,
+        out_features,
+        in_features,
+        &mut output,
+        |transposed, first, block| {
+            let width = if transposed { batch } else { out_features };
+            for (r, row_out) in block.chunks_mut(width).enumerate() {
+                for (col, out) in row_out.iter_mut().enumerate() {
+                    let (b, o) = if transposed {
+                        (col, first + r)
+                    } else {
+                        (first + r, col)
+                    };
+                    let x_row = &input_q[b * in_features..(b + 1) * in_features];
+                    let w_row = &weight_q[o * in_features..(o + 1) * in_features];
+                    let mut acc: i32 = 0;
+                    for (&x, &w) in x_row.iter().zip(w_row) {
+                        acc += x as i32 * w as i32;
+                    }
+                    *out = acc as f32 * (input_scales[b] * weight_scales[o]);
+                    if !bias.is_empty() {
+                        *out += bias[o];
+                    }
                 }
             }
-        }
-    });
+        },
+    );
     output
 }
 
@@ -627,7 +649,16 @@ mod tests {
         let wq = quantize_per_channel(&weight, &scales);
 
         let got0 = fully_connected_quantized(1, 1, inf, outf, &x0, &wq, &scales, &bias);
-        let expected0 = crate::fc::fully_connected(1, 1, inf, outf, &x0, &weight, &bias);
+        let expected0 = crate::fc::fully_connected_with(
+            KernelBackend::Scalar,
+            1,
+            1,
+            inf,
+            outf,
+            &x0,
+            &weight,
+            &bias,
+        );
         for (g, e) in got0.iter().zip(&expected0) {
             assert!((g - e).abs() < 0.05, "{g} vs {e}");
         }
@@ -638,6 +669,40 @@ mod tests {
         let batched = fully_connected_quantized(2, 2, inf, outf, &batched_in, &wq, &scales, &bias);
         assert_eq!(&batched[..outf], &got0[..]);
         assert_eq!(&batched[outf..], &got1[..]);
+    }
+
+    #[test]
+    fn quantized_fc_is_exact_for_every_thread_count() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // 600 x 1000 is large enough for the threaded split over outputs.
+        let (inf, outf) = (600usize, 1000usize);
+        let weight: Vec<f32> = (0..outf * inf).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias: Vec<f32> = (0..outf).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let scales = per_channel_scales(&weight, outf);
+        let wq = quantize_per_channel(&weight, &scales);
+        for batch in 1..=3 {
+            let input: Vec<f32> = (0..batch * inf).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            // Per-row reference: quantize the sample, exact i32 dot, rescale.
+            let mut expected = Vec::with_capacity(batch * outf);
+            for row in input.chunks(inf) {
+                let p = QuantParams::from_data(row);
+                let row_q: Vec<i8> = row.iter().map(|&v| quantize_value(v, p.scale)).collect();
+                for o in 0..outf {
+                    let acc: i32 = row_q
+                        .iter()
+                        .zip(&wq[o * inf..(o + 1) * inf])
+                        .map(|(&x, &w)| x as i32 * w as i32)
+                        .sum();
+                    expected.push(acc as f32 * (p.scale * scales[o]) + bias[o]);
+                }
+            }
+            for threads in 1..=4 {
+                let got = fully_connected_quantized(
+                    threads, batch, inf, outf, &input, &wq, &scales, &bias,
+                );
+                assert_eq!(got, expected, "batch {batch}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,17 @@ impl KernelBackend {
     pub fn is_simd(self) -> bool {
         self != KernelBackend::Scalar
     }
+
+    /// f32 lanes per vector register: 8 on AVX2, 4 on NEON, 1 for scalar.
+    /// The f32 GEMM micro-kernel ([`gemm_accumulate_simd`]) covers output
+    /// columns in tiles of two vectors, then one, and runs the rest scalar.
+    pub(crate) fn f32_lanes(self) -> usize {
+        match self {
+            KernelBackend::Scalar => 1,
+            KernelBackend::Avx2Fma => 8,
+            KernelBackend::Neon => 4,
+        }
+    }
 }
 
 /// Whether any SIMD backend is active on this host (hardware support and the
@@ -158,6 +169,64 @@ pub fn dot_f32(kb: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
         KernelBackend::Neon => unsafe { neon::dot_f32_neon(&a[..len], &b[..len]) },
         _ => a[..len].iter().zip(&b[..len]).map(|(x, y)| x * y).sum(),
     }
+}
+
+// ---------------------------------------------------------------------------
+// f32 dot-product tile: out[r] = a · b_r for up to DOT_TILE_ROWS rows b_r
+// ---------------------------------------------------------------------------
+
+/// Rows of `B` one [`dot_tile_f32`] call covers: the register tile of the
+/// dot-product GEMM (`crate::gemm::gemm_nt_with`).
+pub(crate) const DOT_TILE_ROWS: usize = 4;
+
+/// `out[r] = a · b[r*k..(r+1)*k]` for every `r < out.len()`, with `k =
+/// a.len()` and `1 <= out.len() <= DOT_TILE_ROWS`. `a` is read once for all
+/// rows.
+///
+/// The scalar backend sums each product in index order, so it is
+/// bit-identical to the naive triple loop. SIMD backends keep two
+/// independent vector accumulators per row and reduce each horizontally
+/// once, so they differ from scalar by reassociation (tested tolerance).
+pub(crate) fn dot_tile_f32(kb: KernelBackend, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        (1..=DOT_TILE_ROWS).contains(&out.len()),
+        "dot tile: 1..=4 rows"
+    );
+    assert_eq!(b.len(), out.len() * a.len(), "dot tile: B must be rows*k");
+    macro_rules! dispatch {
+        ($($tile:ident)::+) => {
+            match out.len() {
+                1 => $($tile)::+::<1>(a, b, out),
+                2 => $($tile)::+::<2>(a, b, out),
+                3 => $($tile)::+::<3>(a, b, out),
+                _ => $($tile)::+::<4>(a, b, out),
+            }
+        };
+    }
+    match kb {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard checked AVX2+FMA; the asserts above bound every
+        // read of `a` and `b` and every write of `out`.
+        KernelBackend::Avx2Fma if KernelBackend::Avx2Fma.hw_supported() => unsafe {
+            dispatch!(x86::dot_tile_avx2)
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is baseline on aarch64; bounds as above.
+        KernelBackend::Neon => unsafe { dispatch!(neon::dot_tile_neon) },
+        _ => dispatch!(dot_tile_scalar),
+    }
+}
+
+fn dot_tile_scalar<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let k = a.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &b[r * k..(r + 1) * k]);
+    let mut acc = [0.0f32; R];
+    for (p, &x) in a.iter().enumerate() {
+        for r in 0..R {
+            acc[r] += x * rows[r][p];
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,18 +383,63 @@ mod x86 {
             acc = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc);
             i += 8;
         }
-        // Horizontal reduce the 8 lanes.
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let lo = _mm256_castps256_ps128(acc);
-        let sum4 = _mm_add_ps(lo, hi);
-        let sum2 = _mm_add_ps(sum4, _mm_movehl_ps(sum4, sum4));
-        let sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 1));
-        let mut total = _mm_cvtss_f32(sum1);
+        let mut total = hsum(acc);
         while i < len {
             total += *ap.add(i) * *bp.add(i);
             i += 1;
         }
         total
+    }
+
+    /// Horizontal sum of the 8 lanes.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum(v: __m256) -> f32 {
+        let sum4 = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+        let sum2 = _mm_add_ps(sum4, _mm_movehl_ps(sum4, sum4));
+        _mm_cvtss_f32(_mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 1)))
+    }
+
+    /// `R`-row dot-product tile (see `super::dot_tile_f32`): each 16-wide
+    /// step loads `a` once and feeds `2 * R` independent FMA chains.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2 and FMA, that `b` holds
+    /// `R * a.len()` elements and `out` at least `R`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn dot_tile_avx2<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
+        let k = a.len();
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
+        let mut acc0 = [_mm256_setzero_ps(); R];
+        let mut acc1 = [_mm256_setzero_ps(); R];
+        let mut p = 0usize;
+        while p + 16 <= k {
+            let a0 = _mm256_loadu_ps(ap.add(p));
+            let a1 = _mm256_loadu_ps(ap.add(p + 8));
+            for r in 0..R {
+                let row = bp.add(r * k + p);
+                acc0[r] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(row), acc0[r]);
+                acc1[r] = _mm256_fmadd_ps(a1, _mm256_loadu_ps(row.add(8)), acc1[r]);
+            }
+            p += 16;
+        }
+        if p + 8 <= k {
+            let a0 = _mm256_loadu_ps(ap.add(p));
+            for r in 0..R {
+                acc0[r] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(bp.add(r * k + p)), acc0[r]);
+            }
+            p += 8;
+        }
+        for r in 0..R {
+            let mut total = hsum(_mm256_add_ps(acc0[r], acc1[r]));
+            for q in p..k {
+                total = (*ap.add(q)).mul_add(*bp.add(r * k + q), total);
+            }
+            out[r] = total;
+        }
     }
 
     /// # Safety
@@ -648,6 +762,44 @@ mod neon {
             i += 1;
         }
         total
+    }
+
+    /// `R`-row dot-product tile (see `super::dot_tile_f32`): each 8-wide
+    /// step loads `a` once and feeds `2 * R` independent FMA chains.
+    ///
+    /// # Safety
+    /// `b` must hold `R * a.len()` elements and `out` at least `R`.
+    pub(super) unsafe fn dot_tile_neon<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
+        let k = a.len();
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
+        let mut acc0 = [vdupq_n_f32(0.0); R];
+        let mut acc1 = [vdupq_n_f32(0.0); R];
+        let mut p = 0usize;
+        while p + 8 <= k {
+            let a0 = vld1q_f32(ap.add(p));
+            let a1 = vld1q_f32(ap.add(p + 4));
+            for r in 0..R {
+                let row = bp.add(r * k + p);
+                acc0[r] = vfmaq_f32(acc0[r], a0, vld1q_f32(row));
+                acc1[r] = vfmaq_f32(acc1[r], a1, vld1q_f32(row.add(4)));
+            }
+            p += 8;
+        }
+        if p + 4 <= k {
+            let a0 = vld1q_f32(ap.add(p));
+            for r in 0..R {
+                acc0[r] = vfmaq_f32(acc0[r], a0, vld1q_f32(bp.add(r * k + p)));
+            }
+            p += 4;
+        }
+        for r in 0..R {
+            let mut total = vaddvq_f32(vaddq_f32(acc0[r], acc1[r]));
+            for q in p..k {
+                total = (*ap.add(q)).mul_add(*bp.add(r * k + q), total);
+            }
+            out[r] = total;
+        }
     }
 
     /// # Safety

@@ -18,8 +18,9 @@
 //! On hosts with no SIMD backend (or non-x86_64/aarch64 targets) the suite
 //! passes trivially — there is nothing to compare.
 
-use mnn_kernels::conv::{conv2d_depthwise_with, conv2d_im2col_with, ConvParams};
-use mnn_kernels::gemm::{gemm_mt_with, gemm_with};
+use mnn_kernels::conv::{conv2d_depthwise_with, conv2d_im2col_with, conv2d_reference, ConvParams};
+use mnn_kernels::fc::fully_connected_with;
+use mnn_kernels::gemm::{gemm_mt_with, gemm_naive, gemm_nt_with, gemm_with};
 use mnn_kernels::quant::{conv2d_quantized_with, gemm_i8_with, QuantParams};
 use mnn_kernels::simd::KernelBackend;
 use mnn_kernels::winograd::{conv2d_winograd_prepared_with, prepare_winograd_weights};
@@ -99,6 +100,137 @@ fn f32_gemm_mt_matches_single_thread() {
         // Row partitioning never splits a reduction, so multithreading is
         // bit-identical to single-threaded for the same backend.
         assert_eq!(c_mt, c_st, "gemm_mt diverged at {threads} threads");
+    }
+}
+
+/// Row-major `[rows, cols]` -> `[cols, rows]`.
+fn transposed(rows: usize, cols: usize, src: &[f32]) -> Vec<f32> {
+    let mut dst = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+    dst
+}
+
+/// Tolerance for a `k`-deep f32 reduction: the 1e-4 used for GEMM up to
+/// `k = 256`, growing linearly beyond (reassociation error grows with `k`).
+fn reduction_tol(k: usize) -> f32 {
+    1e-4 * (k as f32 / 256.0).max(1.0)
+}
+
+#[test]
+fn dot_product_gemm_matches_naive_within_tolerance() {
+    let Some(kb) = hw_backend() else { return };
+    // m and n cover the 4-row register tile and its 1..3-row remainders in
+    // both orientations (m >= n and n > m); k covers the 16/8-lane steps,
+    // their scalar tails and a deep reduction.
+    for k in [1usize, 7, 9, 255, 4611] {
+        for m in 1..=17usize {
+            for n in 1..=17usize {
+                let mut seed = (k * 10_000 + m * 100 + n) as u64;
+                let a = randf(&mut seed, m * k);
+                let b_t = randf(&mut seed, n * k);
+                let mut c_ref = vec![0.0f32; m * n];
+                gemm_naive(m, k, n, &a, &transposed(n, k, &b_t), &mut c_ref);
+                let mut c = vec![0.0f32; m * n];
+                gemm_nt_with(kb, 2, m, k, n, &a, &b_t, &mut c);
+                assert_close(
+                    &c,
+                    &c_ref,
+                    reduction_tol(k),
+                    &format!("gemm_nt {m}x{k}x{n}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fully_connected_matches_naive_within_tolerance() {
+    let Some(kb) = hw_backend() else { return };
+    // 600 x 1000 crosses the threaded split; 37 x 10 stays on one thread.
+    for (inf, outf) in [(37usize, 10usize), (600, 1000)] {
+        for batch in 1..=3usize {
+            for with_bias in [false, true] {
+                let mut seed = (inf * 1000 + outf * 10 + batch) as u64;
+                let input = randf(&mut seed, batch * inf);
+                let weight = randf(&mut seed, outf * inf);
+                let bias = if with_bias {
+                    randf(&mut seed, outf)
+                } else {
+                    Vec::new()
+                };
+                let mut expected = vec![0.0f32; batch * outf];
+                gemm_naive(
+                    batch,
+                    inf,
+                    outf,
+                    &input,
+                    &transposed(outf, inf, &weight),
+                    &mut expected,
+                );
+                if with_bias {
+                    for (v, b) in expected.iter_mut().zip(bias.iter().cycle()) {
+                        *v += b;
+                    }
+                }
+                let got = fully_connected_with(kb, 2, batch, inf, outf, &input, &weight, &bias);
+                assert_close(
+                    &got,
+                    &expected,
+                    reduction_tol(inf),
+                    &format!("fc batch {batch} {inf}->{outf} bias {with_bias}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_im2col_conv_matches_reference_within_tolerance() {
+    let Some(kb) = hw_backend() else { return };
+    // Outputs of 1x1, 2x2 and 3x3 (below the micro-kernel's column tile),
+    // reached through stride 2, padding and dilation 2.
+    let cases = [
+        // 1x1 output: 3x3 kernel over a 3x3 input, no padding.
+        (ConvParams::square(16, 24, 3, 0), 3, 3),
+        // 2x2 output: 1x1 pointwise over a 2x2 input.
+        (ConvParams::square(33, 20, 1, 0), 2, 2),
+        // 2x2 output: 3x3 stride 2, padding 1 over a 4x4 input.
+        (ConvParams::square(9, 13, 3, 1).with_stride(2), 4, 4),
+        // 3x3 output: 3x3 dilation 2, padding 2 over a 3x3 input.
+        (ConvParams::square(7, 5, 3, 2).with_dilation(2), 3, 3),
+        // 3x3 output: 3x3 stride 2, padding 1 over a 5x6 input, with bias.
+        (
+            ConvParams {
+                has_bias: true,
+                ..ConvParams::square(12, 17, 3, 1).with_stride(2)
+            },
+            5,
+            6,
+        ),
+    ];
+    for (idx, (params, in_h, in_w)) in cases.into_iter().enumerate() {
+        let (out_h, out_w) = params.output_size(in_h, in_w);
+        assert!(out_h * out_w <= 9, "case {idx} is not narrow");
+        let batch = 2;
+        let mut seed = 500 + idx as u64;
+        let input = randf(&mut seed, batch * params.in_channels * in_h * in_w);
+        let weight = randf(&mut seed, params.weight_len());
+        let bias = if params.has_bias {
+            randf(&mut seed, params.out_channels)
+        } else {
+            Vec::new()
+        };
+        let reference = conv2d_reference(&params, batch, in_h, in_w, &input, &weight, &bias);
+        for threads in [1, 2] {
+            let got = conv2d_im2col_with(
+                kb, &params, threads, batch, in_h, in_w, &input, &weight, &bias,
+            );
+            assert_close(&got, &reference, 1e-4, &format!("narrow im2col case {idx}"));
+        }
     }
 }
 

@@ -368,6 +368,7 @@ impl Tuner {
             let hint = SchemeHint {
                 conv_scheme: Some(scheme),
                 threads: Some(threads),
+                kernels: None,
             };
             let Ok(mut execution) = backend.on_create(node, graph, &hint) else {
                 continue;

@@ -166,10 +166,20 @@
 //! the scalar schemes only — SIMD placements are always measured, never
 //! guessed.
 //!
+//! Products with few output columns use a dot-product GEMM
+//! ([`gemm_nt_with`](mnn_kernels::gemm::gemm_nt_with), `C = A·Bᵀ`) that
+//! vectorizes over the reduction axis instead: fully-connected layers, which
+//! read their stored `[out, in]` weight as `B` with no transpose or copy, and
+//! `im2col-simd` convolutions whose output is narrower than the GEMM
+//! micro-kernel's column tile (under 16 pixels on AVX2, 8 on NEON, other
+//! than exactly one vector), such as the 2×2 and 1×1 late layers of a small
+//! input.
+//!
 //! Two overrides exist: the `MNN_SIMD=scalar` environment variable forces the
 //! scalar kernels process-wide (that is what the forced-scalar CI job sets),
 //! and [`SessionConfigBuilder::force_scalar`](SessionConfig) pins a single
-//! session to scalar by filtering its candidate pools. The chosen kernel set
+//! session to scalar by filtering its candidate pools and running its
+//! fully-connected layers scalar. The chosen kernel set
 //! (`scalar` / `avx2fma` / `neon`) is part of the tuning-cache device
 //! fingerprint, so a cache tuned with SIMD kernels is never installed on a
 //! host that lacks them. The conformance contract — int8 paths bit-identical
