@@ -2,7 +2,7 @@
 
 use super::Session;
 use crate::CoreError;
-use mnn_graph::{NodeId, TensorId};
+use mnn_graph::TensorId;
 use mnn_tensor::Tensor;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -229,32 +229,11 @@ impl Session {
         }
         let start = Instant::now();
 
-        // Opt-in per-op profiling. When no profiler is attached (or it is
-        // disabled) `recorder` is `None` and the loop below takes no
-        // timestamps. Scheme/placement strings come from the plan report,
-        // snapshotted up front because the loop holds `self.plan` mutably.
-        // `capture` additionally feeds per-op spans to the request trace
-        // active on this thread, if any (see `mnn_obs::context`); its spans
-        // land on the request's timebase and flush when it drops.
-        let mut recorder = self.config.profiler.as_ref().and_then(|p| p.begin_run());
-        let mut capture = mnn_obs::context::begin_op_capture();
-        let timed = recorder.is_some() || capture.is_some();
-        let node_meta: HashMap<NodeId, (String, String)> = if timed {
-            self.plan
-                .report
-                .placements
-                .iter()
-                .map(|p| {
-                    let scheme = p
-                        .scheme
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|| "-".to_string());
-                    (p.node, (scheme, p.forward_type.to_string()))
-                })
-                .collect()
-        } else {
-            HashMap::new()
-        };
+        // Opt-in per-op spans. One buffer feeds both the session's profiler
+        // and the request trace active on this thread, if any (see
+        // `mnn_obs::RunSpans`). With neither on, `spans` is `None` and the
+        // loop below takes no timestamps.
+        let mut spans = mnn_obs::RunSpans::begin(self.config.profiler.as_ref());
 
         // Remaining-use counts drive early release of intermediate tensors, the
         // runtime counterpart of the static plan.
@@ -297,7 +276,7 @@ impl Session {
             let mut output = Tensor::zeros(mnn_tensor::Shape::vector(1));
             // Bytes are summed *before* the timestamp so accounting never
             // inflates the measured kernel time.
-            let profiled = timed.then(|| {
+            let profiled = spans.is_some().then(|| {
                 let input_bytes: u64 = activation_inputs.iter().map(|t| t.byte_size() as u64).sum();
                 (input_bytes, Instant::now())
             });
@@ -314,35 +293,16 @@ impl Session {
                 execution.run(&activation_inputs, &mut output)?;
             }
             drop(activation_inputs);
-            if let Some((input_bytes, kernel_start)) = profiled {
-                let (scheme, placement) = node_meta
-                    .get(&entry.node)
-                    .map(|(s, p)| (s.as_str(), p.as_str()))
-                    .unwrap_or(("-", "-"));
-                let bytes = input_bytes + output.byte_size() as u64;
-                let shape = output.shape().to_string();
-                if let Some(rec) = recorder.as_mut() {
-                    rec.record_node(
-                        &node.name,
-                        node.op.name(),
-                        scheme,
-                        placement,
-                        &shape,
-                        kernel_start,
-                        bytes,
-                    );
-                }
-                if let Some(cap) = capture.as_mut() {
-                    cap.record_node(
-                        &node.name,
-                        node.op.name(),
-                        scheme,
-                        placement,
-                        &shape,
-                        kernel_start,
-                        bytes,
-                    );
-                }
+            if let (Some(spans), Some((input_bytes, kernel_start))) = (spans.as_mut(), profiled) {
+                spans.record_node(
+                    &node.name,
+                    node.op.name(),
+                    &entry.scheme_label,
+                    &entry.placement_label,
+                    &output.shape().to_string(),
+                    kernel_start,
+                    input_bytes + output.byte_size() as u64,
+                );
             }
             storage.insert(node.outputs[0], output);
 
@@ -364,8 +324,8 @@ impl Session {
         for backend in &mut self.backends {
             backend.on_execute_end();
         }
-        if let Some(rec) = recorder {
-            rec.finish();
+        if let Some(spans) = spans {
+            spans.finish();
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
         let gpu_virtual_ms: f64 = self.backends.iter().map(|b| b.virtual_elapsed_ms()).sum();

@@ -171,6 +171,9 @@ pub(super) struct ScheduledNode {
     pub(super) node: NodeId,
     pub(super) backend_index: usize,
     pub(super) hint: SchemeHint,
+    /// Scheme and placement labels for per-op spans, fixed with the plan.
+    pub(super) scheme_label: String,
+    pub(super) placement_label: String,
     /// Pre-created execution when preparation is decoupled from execution.
     pub(super) execution: Option<Box<dyn Execution>>,
 }
@@ -338,11 +341,12 @@ pub(super) fn build_plan(
             threads: Some(config.threads),
             kernels: Some(kernels),
         };
+        let forward_type = backends[placement.backend_index].forward_type();
         report_placements.push(NodePlacement {
             node: *node_id,
             name: node.name.clone(),
             op: node.op.name(),
-            forward_type: backends[placement.backend_index].forward_type(),
+            forward_type,
             scheme: hint.conv_scheme,
             estimated_cost_ms: placement.cost_ms,
             measured_cost_ms,
@@ -350,6 +354,10 @@ pub(super) fn build_plan(
         scheduled.push(ScheduledNode {
             node: *node_id,
             backend_index: placement.backend_index,
+            scheme_label: hint
+                .conv_scheme
+                .map_or_else(|| "-".to_string(), |s| s.to_string()),
+            placement_label: forward_type.to_string(),
             hint,
             execution: None,
         });

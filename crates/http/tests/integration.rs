@@ -468,11 +468,11 @@ fn metrics_and_profile_endpoints_serve_over_the_wire() {
     ] {
         assert!(text.contains(series), "missing {series} in:\n{text}");
     }
-    // The global counters are shared across this test binary, so only a lower
-    // bound is meaningful here.
+    // The global counters are shared across this test binary (other tests
+    // serve tiny-cnn too), so only a lower bound is meaningful here.
     let requests: u64 = text
         .lines()
-        .find(|l| l.starts_with("mnn_infer_requests_total "))
+        .find(|l| l.starts_with("mnn_infer_requests_total{model=\"tiny-cnn\"} "))
         .and_then(|l| l.rsplit(' ').next())
         .and_then(|v| v.parse().ok())
         .unwrap();

@@ -9,16 +9,20 @@
 //!   with `SessionConfig::builder().profiling(profiler)` records one span per
 //!   executed node (node name, op type, scheme + placement, output shape,
 //!   wall time, bytes moved) with **zero timer calls when profiling is off**.
-//!   Spans aggregate into a [`ProfileReport`] (per-op-type totals, hottest
-//!   nodes, % of wall time — the Fig. 8 table, but live) and export as
-//!   chrome://tracing Trace Event Format JSON ([`Profiler::chrome_trace`]).
+//!   The session executor times each node once into a per-run [`RunSpans`]
+//!   buffer, the one per-op span stream: it feeds the profiler and the
+//!   active request trace alike. Spans aggregate into a [`ProfileReport`]
+//!   (per-op-type totals, hottest nodes, % of wall time — the Fig. 8 table,
+//!   but live) and export as chrome://tracing Trace Event Format JSON
+//!   ([`Profiler::chrome_trace`], sharing one span-to-event mapping with
+//!   [`FlightRecorder::chrome_trace`]).
 //! * [`metrics`] — a process-wide registry of lock-free [`Counter`]s,
 //!   [`Gauge`]s and [`Histogram`]s with a stable naming scheme
 //!   ([`metrics::names`]), rendered in Prometheus text exposition format
 //!   ([`Registry::render_prometheus`]) and served by `mnn-http` at
 //!   `GET /metrics`. The engine layers (session prepare/resize/plan-cache,
 //!   tuning cache, serve queue/batcher/workers, HTTP handler) all write into
-//!   [`metrics::global`].
+//!   [`metrics::global`]; the serving series carry a `model` label.
 //! * [`log`] — a leveled structured log facade ([`log!`], [`error!`],
 //!   [`warn!`], [`info!`], [`debug!`], [`trace!`]) filtered by the `MNN_LOG`
 //!   environment variable with an injectable sink, replacing the workspace's
@@ -57,10 +61,10 @@ pub mod resources;
 pub mod slo;
 mod trace;
 
-pub use context::{OpCapture, TraceContext, TraceScope};
+pub use context::{TraceContext, TraceScope};
 pub use log::{set_max_level, set_sink, Level, LogSink, StderrSink};
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
-pub use profile::{NodeBreakdown, OpBreakdown, ProfileReport, Profiler, RunRecorder, SpanRecord};
+pub use profile::{NodeBreakdown, OpBreakdown, ProfileReport, Profiler, RunSpans, SpanRecord};
 pub use recorder::{ActiveTrace, BatchLink, FlightRecorder, RequestTrace, StageSpan};
 pub use resources::{AccountedBytes, BuildInfo, ResourceSnapshot, ScopeResources};
 pub use slo::{SloConfig, SloSnapshot, SloTracker};

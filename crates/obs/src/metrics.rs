@@ -348,11 +348,23 @@ impl Registry {
     /// A second registration under the same name returns the existing
     /// histogram regardless of the `buckets` argument.
     pub fn histogram(&self, name: &str, help: &str, buckets: &[f64]) -> Histogram {
+        self.histogram_with(name, help, &[], buckets)
+    }
+
+    /// Register (or look up) a histogram with label pairs, e.g.
+    /// `histogram_with("mnn_infer_latency_ms", help, &[("model", "m")], buckets)`.
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        buckets: &[f64],
+    ) -> Histogram {
         debug_assert!(
             buckets.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
-        match self.series(name, help, &[], MetricKind::Histogram, || {
+        match self.series(name, help, labels, MetricKind::Histogram, || {
             let counts = (0..=buckets.len()).map(|_| AtomicU64::new(0)).collect();
             let exemplars = (0..=buckets.len()).map(|_| Mutex::new(None)).collect();
             Series::Histogram(Histogram(Arc::new(HistogramInner {
@@ -538,39 +550,10 @@ pub fn process_epoch() -> std::time::Instant {
 /// [`global`] registry, so a `/metrics` scrape shows the full schema (at
 /// zero) even for subsystems that have not run yet. Idempotent: series
 /// already registered by their instrumentation site are left untouched.
+/// The per-model serve series (`model` label) are registered by each
+/// `mnn-serve` server instead.
 pub fn register_defaults() {
     let registry = global();
-    registry.counter(
-        names::INFER_REQUESTS,
-        "Requests accepted into a serve queue.",
-    );
-    registry.counter(names::INFER_COMPLETED, "Requests answered successfully.");
-    registry.counter(
-        names::INFER_ERRORS,
-        "Requests answered with an inference error.",
-    );
-    registry.counter(
-        names::INFER_REJECTED,
-        "Submissions rejected with QueueFull backpressure.",
-    );
-    registry.counter(
-        names::INFER_ABORTED,
-        "Queued requests failed with ShuttingDown at drain eviction.",
-    );
-    registry.counter(
-        names::WORKER_PANICS,
-        "Worker panics contained by the serving runtime.",
-    );
-    registry.histogram(
-        names::INFER_LATENCY_MS,
-        "End-to-end request latency (enqueue to response), milliseconds.",
-        LATENCY_MS_BUCKETS,
-    );
-    registry.histogram(
-        names::BATCH_SIZE,
-        "Executed micro-batch sizes.",
-        BATCH_SIZE_BUCKETS,
-    );
     registry.gauge(
         names::QUEUE_DEPTH,
         "Requests currently waiting in serve queues.",
@@ -612,20 +595,6 @@ pub fn register_defaults() {
     registry.gauge(
         names::HTTP_CONNECTIONS,
         "HTTP connections currently being served.",
-    );
-    registry.histogram(
-        names::QUEUE_WAIT_MS,
-        "Time requests spent waiting in serve queues, milliseconds.",
-        LATENCY_MS_BUCKETS,
-    );
-    registry.histogram(
-        names::BATCH_ASSEMBLY_MS,
-        "Time from dequeue to inference start (stacking, geometry), milliseconds.",
-        LATENCY_MS_BUCKETS,
-    );
-    registry.counter(
-        names::TRACES_RECORDED,
-        "Request traces completed by the flight recorder.",
     );
     registry.counter(
         names::WORKER_STALLS,

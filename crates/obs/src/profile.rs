@@ -1,12 +1,15 @@
-//! The opt-in per-op runtime profiler.
+//! The opt-in per-op runtime profiler and the executor's per-run span stream.
 //!
 //! A [`Profiler`] is shared (`Arc`) between whoever wants the data and the
 //! sessions producing it (`SessionConfig::builder().profiling(...)` in
-//! `mnn-core`). Each session run opens a [`RunRecorder`], which buffers one
-//! [`SpanRecord`] per executed node *locally* — the profiler's lock is taken
-//! once per run, at [`RunRecorder::finish`], never per node. When the
-//! profiler is disabled ([`Profiler::set_enabled`]) `begin_run` returns
-//! `None` and the execution loop takes no timestamps at all.
+//! `mnn-core`). Each session run opens one [`RunSpans`] buffer, which records
+//! one [`SpanRecord`] per executed node *locally* and, at
+//! [`RunSpans::finish`], hands the same spans to both consumers: the
+//! profiler (its lock is taken once per run, never per node) and the op sink
+//! of the request trace active on the calling thread, if any. When the
+//! profiler is absent or disabled ([`Profiler::set_enabled`]) and no trace
+//! collects ops, `RunSpans::begin` returns `None` and the execution loop
+//! takes no timestamps at all.
 //!
 //! Aggregation is incremental: per-node statistics are folded into a map at
 //! `finish`, so [`Profiler::report`] is exact over the profiler's whole
@@ -112,8 +115,8 @@ impl Profiler {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Toggle span collection. While disabled, [`Profiler::begin_run`]
-    /// returns `None` and instrumented code takes no timestamps.
+    /// Toggle span collection. While disabled, sessions record no spans
+    /// for this profiler (see [`RunSpans::begin`]).
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -122,24 +125,6 @@ impl Profiler {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Open a recorder for one session run, or `None` when disabled. The
-    /// single atomic load here is the entire disabled-path cost.
-    ///
-    /// When a request trace scope is active on the calling thread (see
-    /// [`crate::context::scope`]), every span of the run is stamped with
-    /// its trace id, keying the profiler ring by request.
-    pub fn begin_run(self: &Arc<Self>) -> Option<RunRecorder> {
-        if !self.is_enabled() {
-            return None;
-        }
-        Some(RunRecorder {
-            profiler: Arc::clone(self),
-            run_start: Instant::now(),
-            trace_id: crate::context::current_trace_id_hex().unwrap_or_default(),
-            spans: Vec::new(),
-        })
     }
 
     /// Number of completed runs recorded.
@@ -220,66 +205,20 @@ impl Profiler {
     /// JSON (load via `chrome://tracing` or <https://ui.perfetto.dev>).
     pub fn chrome_trace(&self) -> String {
         let inner = self.lock();
-        let spans: Vec<&SpanRecord> = inner.spans.iter().collect();
-        trace::render(&spans)
-    }
-}
-
-/// Per-run span buffer handed out by [`Profiler::begin_run`]. Records locally
-/// and folds into the profiler once, on [`RunRecorder::finish`].
-pub struct RunRecorder {
-    profiler: Arc<Profiler>,
-    run_start: Instant,
-    trace_id: String,
-    spans: Vec<SpanRecord>,
-}
-
-impl RunRecorder {
-    /// Record one executed node. `started` is the `Instant` taken immediately
-    /// before the kernel ran; duration is measured to *now*, so call this
-    /// right after the kernel returns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_node(
-        &mut self,
-        name: &str,
-        op: &str,
-        scheme: &str,
-        placement: &str,
-        shape: &str,
-        started: Instant,
-        bytes: u64,
-    ) {
-        let dur_us = started.elapsed().as_secs_f64() * 1e6;
-        let start_us = started
-            .checked_duration_since(self.profiler.epoch)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            op: op.to_string(),
-            scheme: scheme.to_string(),
-            placement: placement.to_string(),
-            shape: shape.to_string(),
-            start_us,
-            dur_us,
-            bytes,
-            run: 0, // assigned at finish()
-            trace_id: self.trace_id.clone(),
-        });
+        trace::render(
+            inner
+                .spans
+                .iter()
+                .map(|span| (1, span.op.as_str(), span.clone())),
+        )
     }
 
-    /// Close the run: computes the whole-run span and folds everything into
-    /// the profiler under one lock acquisition.
-    pub fn finish(self) {
-        let run_dur_us = self.run_start.elapsed().as_secs_f64() * 1e6;
-        let run_start_us = self
-            .run_start
-            .checked_duration_since(self.profiler.epoch)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        let mut inner = self.profiler.lock();
+    /// Fold one finished run (started at `run_start`, node spans as recorded
+    /// by [`RunSpans`]) into the statistics and the span ring.
+    fn fold(&self, run_start: Instant, trace_id: String, nodes: Vec<(Instant, SpanRecord)>) {
+        let run_dur_us = run_start.elapsed().as_secs_f64() * 1e6;
+        let run_start_us = micros_since(run_start, self.epoch);
+        let mut inner = self.lock();
         let run_index = inner.runs;
         inner.runs += 1;
         inner.run_us += run_dur_us;
@@ -295,10 +234,11 @@ impl RunRecorder {
                 dur_us: run_dur_us,
                 bytes: 0,
                 run: run_index,
-                trace_id: self.trace_id.clone(),
+                trace_id,
             },
         );
-        for mut span in self.spans {
+        for (started, mut span) in nodes {
+            span.start_us = micros_since(started, self.epoch);
             span.run = run_index;
             inner.node_us += span.dur_us;
             let stat = inner.nodes.entry(span.name.clone()).or_default();
@@ -317,6 +257,116 @@ impl RunRecorder {
             push_span(&mut inner.spans, span);
         }
     }
+}
+
+/// The executor's per-run span buffer: one [`SpanRecord`] per executed node,
+/// timed once and delivered at [`RunSpans::finish`] to the session's
+/// profiler (on the profiler's timebase, stamped with the run index) and to
+/// the op sink of the active request trace (on the request's timebase; see
+/// [`crate::context::scope`]).
+pub struct RunSpans {
+    profiler: Option<Arc<Profiler>>,
+    /// Request start and op sink of the active trace scope.
+    trace: Option<(Instant, Arc<Mutex<Vec<SpanRecord>>>)>,
+    trace_id: String,
+    run_start: Instant,
+    /// Node spans with their start instants; `start_us` is set per consumer.
+    nodes: Vec<(Instant, SpanRecord)>,
+}
+
+impl RunSpans {
+    /// Open the span buffer for one session run. `profiler` is the session's
+    /// optional profiler. Returns `None` when the profiler is absent or
+    /// disabled and no trace scope with an op sink is active on this thread;
+    /// that check is one relaxed atomic load per source, the whole
+    /// disabled-path cost.
+    ///
+    /// Inside a trace scope every span is stamped with the scope's trace id,
+    /// which keys the profiler ring by request.
+    pub fn begin(profiler: Option<&Arc<Profiler>>) -> Option<RunSpans> {
+        let profiler = profiler.filter(|p| p.is_enabled()).cloned();
+        let scope = crate::context::current_scope();
+        let trace = scope
+            .as_ref()
+            .and_then(|scope| Some((scope.epoch, Arc::clone(scope.ops.as_ref()?))));
+        if profiler.is_none() && trace.is_none() {
+            return None;
+        }
+        Some(RunSpans {
+            profiler,
+            trace,
+            trace_id: scope.map(|s| s.ctx.trace_id_hex()).unwrap_or_default(),
+            run_start: Instant::now(),
+            nodes: Vec::new(),
+        })
+    }
+
+    /// Record one executed node. `started` is the `Instant` taken immediately
+    /// before the kernel ran; duration is measured to *now*, so call this
+    /// right after the kernel returns.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_node(
+        &mut self,
+        name: &str,
+        op: &str,
+        scheme: &str,
+        placement: &str,
+        shape: &str,
+        started: Instant,
+        bytes: u64,
+    ) {
+        let dur_us = started.elapsed().as_secs_f64() * 1e6;
+        let span = SpanRecord {
+            name: name.to_string(),
+            op: op.to_string(),
+            scheme: scheme.to_string(),
+            placement: placement.to_string(),
+            shape: shape.to_string(),
+            start_us: 0.0,
+            dur_us,
+            bytes,
+            run: 0,
+            trace_id: self.trace_id.clone(),
+        };
+        self.nodes.push((started, span));
+    }
+
+    /// Close the run: append the spans to the trace's op sink and fold them,
+    /// with the whole-run span, into the profiler — one lock each.
+    pub fn finish(self) {
+        let RunSpans {
+            profiler,
+            trace,
+            trace_id,
+            run_start,
+            nodes,
+        } = self;
+        if let Some((epoch, sink)) = trace {
+            let rebase = |(started, span): (Instant, SpanRecord)| SpanRecord {
+                start_us: micros_since(started, epoch),
+                ..span
+            };
+            let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+            // Without a profiler the trace takes the buffer itself.
+            if profiler.is_some() {
+                sink.extend(nodes.iter().cloned().map(rebase));
+            } else {
+                sink.extend(nodes.into_iter().map(rebase));
+                return;
+            }
+        }
+        if let Some(profiler) = profiler {
+            profiler.fold(run_start, trace_id, nodes);
+        }
+    }
+}
+
+/// Microseconds from `epoch` to `t` (zero when `t` is earlier).
+pub(crate) fn micros_since(t: Instant, epoch: Instant) -> f64 {
+    t.checked_duration_since(epoch)
+        .unwrap_or_default()
+        .as_secs_f64()
+        * 1e6
 }
 
 fn push_span(spans: &mut VecDeque<SpanRecord>, span: SpanRecord) {
@@ -452,7 +502,7 @@ mod tests {
     }
 
     fn record_run(profiler: &Arc<Profiler>, node_ms: &[(&str, &str, u64)]) {
-        let mut rec = profiler.begin_run().expect("enabled");
+        let mut rec = RunSpans::begin(Some(profiler)).expect("enabled");
         for (name, op, ms) in node_ms {
             let t0 = Instant::now();
             spin(Duration::from_millis(*ms));
@@ -465,9 +515,10 @@ mod tests {
     fn disabled_profiler_returns_no_recorder() {
         let profiler = Arc::new(Profiler::new());
         profiler.set_enabled(false);
-        assert!(profiler.begin_run().is_none());
+        assert!(RunSpans::begin(Some(&profiler)).is_none());
+        assert!(RunSpans::begin(None).is_none(), "no profiler, no trace");
         profiler.set_enabled(true);
-        assert!(profiler.begin_run().is_some());
+        assert!(RunSpans::begin(Some(&profiler)).is_some());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! timestamps at all, matching the profiler's disabled-path contract.
 
 use crate::context::TraceContext;
-use crate::profile::SpanRecord;
-use crate::trace::{self, TraceArgs, TraceEvent};
+use crate::profile::{micros_since, SpanRecord};
+use crate::trace;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -161,22 +161,12 @@ impl ActiveTrace {
 
     /// Record a completed stage spanning `start..end`.
     pub fn add_stage(&self, name: &str, depth: u64, start: Instant, end: Instant) {
-        let start_us = start
-            .checked_duration_since(self.inner.started)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
-        let dur_us = end
-            .checked_duration_since(start)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e6;
         let mut state = self.lock();
         state.stages.push(StageSpan {
             name: name.to_string(),
             depth,
-            start_us,
-            dur_us,
+            start_us: micros_since(start, self.inner.started),
+            dur_us: micros_since(end, start),
         });
     }
 
@@ -491,64 +481,41 @@ impl FlightRecorder {
     /// nested timeline (load via `chrome://tracing` or
     /// <https://ui.perfetto.dev>).
     pub fn chrome_trace(traces: &[Arc<RequestTrace>]) -> String {
-        let mut events = Vec::new();
+        let mut spans = Vec::new();
         for (index, request) in traces.iter().enumerate() {
             let tid = index as u64 + 1;
-            let args = |detail: &str| TraceArgs {
+            // Request and stage spans carry the trace id as their shape and
+            // the response status as their run.
+            let span = |name: String, detail: &str, start_us: f64, dur_us: f64| SpanRecord {
+                name,
                 op: detail.to_string(),
                 scheme: "-".to_string(),
                 placement: "-".to_string(),
                 shape: request.trace_id.clone(),
+                start_us,
+                dur_us,
                 bytes: 0,
                 run: request.status,
+                trace_id: request.trace_id.clone(),
             };
-            events.push(TraceEvent {
-                name: format!(
-                    "request {} ({})",
-                    &request.trace_id[..8.min(request.trace_id.len())],
-                    request.model
-                ),
-                cat: "request".to_string(),
-                ph: "X".to_string(),
-                ts: 0.0,
-                dur: request.total_us,
-                pid: 1,
-                tid,
-                args: args("request"),
-            });
+            let name = format!(
+                "request {} ({})",
+                &request.trace_id[..8.min(request.trace_id.len())],
+                request.model
+            );
+            spans.push((tid, "request", span(name, "request", 0.0, request.total_us)));
             for stage in &request.stages {
-                events.push(TraceEvent {
-                    name: stage.name.clone(),
-                    cat: "stage".to_string(),
-                    ph: "X".to_string(),
-                    ts: stage.start_us,
-                    dur: stage.dur_us,
-                    pid: 1,
-                    tid,
-                    args: args(&stage.name),
-                });
+                let stage = span(
+                    stage.name.clone(),
+                    &stage.name,
+                    stage.start_us,
+                    stage.dur_us,
+                );
+                spans.push((tid, "stage", stage));
             }
-            for op in &request.ops {
-                events.push(TraceEvent {
-                    name: op.name.clone(),
-                    cat: "op".to_string(),
-                    ph: "X".to_string(),
-                    ts: op.start_us,
-                    dur: op.dur_us,
-                    pid: 1,
-                    tid,
-                    args: TraceArgs {
-                        op: op.op.clone(),
-                        scheme: op.scheme.clone(),
-                        placement: op.placement.clone(),
-                        shape: op.shape.clone(),
-                        bytes: op.bytes,
-                        run: op.run,
-                    },
-                });
-            }
+            spans.extend(request.ops.iter().map(|op| (tid, "op", op.clone())));
         }
-        trace::render_events(events)
+        trace::render(spans)
     }
 }
 
@@ -722,8 +689,8 @@ mod tests {
         );
         {
             let _scope = trace.enter();
-            let mut capture = crate::context::begin_op_capture().unwrap();
-            capture.record_node(
+            let mut spans = crate::profile::RunSpans::begin(None).unwrap();
+            spans.record_node(
                 "conv1",
                 "conv2d",
                 "direct",
@@ -732,6 +699,7 @@ mod tests {
                 Instant::now(),
                 64,
             );
+            spans.finish();
         }
         trace.finish(200);
 
@@ -756,10 +724,11 @@ mod tests {
         trace.add_stage("parse", 0, start, Instant::now());
         {
             let _scope = trace.enter();
-            let mut capture = crate::context::begin_op_capture().unwrap();
+            let mut spans = crate::profile::RunSpans::begin(None).unwrap();
             let t0 = Instant::now();
             spin(Duration::from_millis(1));
-            capture.record_node("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4", t0, 64);
+            spans.record_node("conv1", "conv2d", "direct", "cpu-f32", "1x8x4x4", t0, 64);
+            spans.finish();
         }
         trace.finish(200);
 

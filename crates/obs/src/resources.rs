@@ -10,9 +10,9 @@
 //!
 //! The hot path is deliberately minimal: [`AccountedBytes::add`] and
 //! [`AccountedBytes::sub`] are **one relaxed atomic op each** (the bound the
-//! `resources_overhead` bench asserts). All roll-ups — per-scope totals, the
-//! process-wide total, the `/metrics` gauges — happen at snapshot/render
-//! time, off the allocation path.
+//! accounting arm of `mnn-serve`'s `overhead` bench asserts). All roll-ups —
+//! per-scope totals, the process-wide total, the `/metrics` gauges — happen
+//! at snapshot/render time, off the allocation path.
 //!
 //! OS-level ground truth ([`os_stats`]: RSS and thread count from
 //! `/proc/self/status`) rides along so operators can compare what the engine

@@ -8,13 +8,13 @@
 //! than the objective allows; sustained 14.4 means a 30-day budget is gone in
 //! ~2 days, the classic page-now threshold).
 //!
-//! Recording is cheap (one short mutex hold, no allocation) and the tracker
-//! is shared behind an `Arc` between the serving stats path and the status
-//! surfaces (`/v1/status`, per-model stats).
+//! The tracker is plain data and recording does not allocate; its owner
+//! serializes access (`mnn-serve` keeps it inside each server's stats lock,
+//! and the status surfaces read it through `ServerStats::slo`).
 //!
 //! ```
 //! use mnn_obs::slo::{SloConfig, SloTracker};
-//! let tracker = SloTracker::new(SloConfig { latency_p99_ms: 50.0, availability: 0.999 });
+//! let mut tracker = SloTracker::new(SloConfig { latency_p99_ms: 50.0, availability: 0.999 });
 //! tracker.record(3.2, true);
 //! tracker.record(80.0, true); // over the latency objective
 //! let snap = tracker.snapshot();
@@ -23,7 +23,6 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Size of the rolling window, in one-minute buckets.
@@ -64,7 +63,7 @@ struct Bucket {
 pub struct SloTracker {
     config: SloConfig,
     epoch: Instant,
-    buckets: Mutex<[Bucket; SLO_WINDOW_MINUTES]>,
+    buckets: [Bucket; SLO_WINDOW_MINUTES],
 }
 
 impl SloTracker {
@@ -73,7 +72,7 @@ impl SloTracker {
         SloTracker {
             config,
             epoch: Instant::now(),
-            buckets: Mutex::new([Bucket::default(); SLO_WINDOW_MINUTES]),
+            buckets: [Bucket::default(); SLO_WINDOW_MINUTES],
         }
     }
 
@@ -82,16 +81,11 @@ impl SloTracker {
         self.config
     }
 
-    fn lock(&self) -> MutexGuard<'_, [Bucket; SLO_WINDOW_MINUTES]> {
-        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Record one finished request: its end-to-end latency and whether it
     /// succeeded.
-    pub fn record(&self, latency_ms: f64, ok: bool) {
+    pub fn record(&mut self, latency_ms: f64, ok: bool) {
         let minute = self.epoch.elapsed().as_secs() / 60;
-        let mut buckets = self.lock();
-        let bucket = &mut buckets[(minute as usize) % SLO_WINDOW_MINUTES];
+        let bucket = &mut self.buckets[(minute as usize) % SLO_WINDOW_MINUTES];
         if bucket.minute != minute {
             *bucket = Bucket {
                 minute,
@@ -112,7 +106,7 @@ impl SloTracker {
         let now_minute = self.epoch.elapsed().as_secs() / 60;
         let oldest_live = now_minute.saturating_sub(SLO_WINDOW_MINUTES as u64 - 1);
         let (mut requests, mut errors, mut over) = (0u64, 0u64, 0u64);
-        for bucket in self.lock().iter() {
+        for bucket in &self.buckets {
             // A bucket whose minute scrolled out of the window is dead weight
             // until the next record into its slot resets it; skip it here.
             if bucket.minute >= oldest_live && bucket.minute <= now_minute {
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn errors_and_slow_requests_burn_their_budgets() {
-        let tracker = SloTracker::new(SloConfig {
+        let mut tracker = SloTracker::new(SloConfig {
             latency_p99_ms: 10.0,
             availability: 0.99,
         });
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn blown_objectives_report_noncompliance() {
-        let tracker = SloTracker::new(SloConfig {
+        let mut tracker = SloTracker::new(SloConfig {
             latency_p99_ms: 10.0,
             availability: 0.999,
         });
@@ -238,7 +232,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_to_json() {
-        let tracker = SloTracker::new(SloConfig::default());
+        let mut tracker = SloTracker::new(SloConfig::default());
         tracker.record(1.0, true);
         let text = serde_json::to_string(&tracker.snapshot()).unwrap();
         assert!(text.contains("\"availability_burn_rate\""), "{text}");

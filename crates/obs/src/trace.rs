@@ -41,34 +41,30 @@ pub(crate) struct ChromeTrace {
     pub(crate) displayTimeUnit: String,
 }
 
-/// Render spans as Trace Event Format JSON.
-pub(crate) fn render(spans: &[&SpanRecord]) -> String {
+/// Render `(lane, category, span)` triples as Trace Event Format JSON: the
+/// one span-to-event mapping behind both the profiler's and the flight
+/// recorder's export.
+pub(crate) fn render<'a>(spans: impl IntoIterator<Item = (u64, &'a str, SpanRecord)>) -> String {
     let events = spans
-        .iter()
-        .map(|span| TraceEvent {
-            name: span.name.clone(),
-            cat: span.op.clone(),
+        .into_iter()
+        .map(|(tid, cat, span)| TraceEvent {
+            name: span.name,
+            cat: cat.to_string(),
             ph: "X".to_string(),
             ts: span.start_us,
             dur: span.dur_us,
             pid: 1,
-            tid: 1,
+            tid,
             args: TraceArgs {
-                op: span.op.clone(),
-                scheme: span.scheme.clone(),
-                placement: span.placement.clone(),
-                shape: span.shape.clone(),
+                op: span.op,
+                scheme: span.scheme,
+                placement: span.placement,
+                shape: span.shape,
                 bytes: span.bytes,
                 run: span.run,
             },
         })
         .collect();
-    render_events(events)
-}
-
-/// Render pre-built events as Trace Event Format JSON (used by the flight
-/// recorder to merge request-, stage- and op-level spans).
-pub(crate) fn render_events(events: Vec<TraceEvent>) -> String {
     let trace = ChromeTrace {
         traceEvents: events,
         displayTimeUnit: "ms".to_string(),
@@ -79,7 +75,7 @@ pub(crate) fn render_events(events: Vec<TraceEvent>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Profiler;
+    use crate::profile::{Profiler, RunSpans};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -96,7 +92,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_spans_nest() {
         let profiler = Arc::new(Profiler::new());
-        let mut rec = profiler.begin_run().unwrap();
+        let mut rec = RunSpans::begin(Some(&profiler)).unwrap();
         for name in ["conv1", "act1"] {
             let t0 = Instant::now();
             spin(Duration::from_millis(2));

@@ -12,7 +12,7 @@
 //! stress test in `tests/stress.rs` locks in.
 
 use crate::request::QueuedRequest;
-use crate::stats::StatsCollector;
+use crate::stats::{Served, StatsCollector};
 use crate::ServeError;
 use mnn_core::{CoreError, Session};
 use mnn_obs::TraceContext;
@@ -69,19 +69,28 @@ pub(crate) fn process_batch(
         })
     };
     let scatter_end = Instant::now();
-    attribute_stages(&batch, scope_trace.as_ref(), &marks, scatter_end, stats);
+    attribute_stages(&batch, scope_trace.as_ref(), &marks, scatter_end);
     // Record stats BEFORE fulfilling any slot: a client that wakes from
-    // `wait()` must already see its request in the counters.
-    let latencies: Vec<(f64, Option<String>)> = batch
+    // `wait()` must already see its request in the counters. The stage
+    // times come from the queue's dequeue stamp, so they exist with tracing
+    // off too.
+    let ms = |from: Instant, to: Instant| to.saturating_duration_since(from).as_secs_f64() * 1000.0;
+    let served: Vec<(Served, Option<String>)> = batch
         .iter()
         .map(|request| {
+            let dequeued = request.dequeued.unwrap_or(request.enqueued);
+            let served = Served {
+                latency_ms: request.enqueued.elapsed().as_secs_f64() * 1000.0,
+                queue_wait_ms: ms(request.enqueued, dequeued),
+                batch_assembly_ms: marks.run_start.map_or(0.0, |start| ms(dequeued, start)),
+            };
             (
-                request.enqueued.elapsed().as_secs_f64() * 1000.0,
+                served,
                 request.trace.as_ref().map(|trace| trace.trace_id_hex()),
             )
         })
         .collect();
-    stats.record_batch(&latencies, result.is_ok());
+    stats.record_batch(&served, result.is_ok());
     let status = if result.is_ok() { 200 } else { 500 };
     match result {
         Ok(outputs) => {
@@ -110,32 +119,15 @@ pub(crate) fn process_batch(
 }
 
 /// Attach queue-wait / batch-assembly / inference / scatter stage spans to
-/// every traced member, link them all to one generated batch span, fan the
-/// head's captured op spans out to the other members (shifted onto their
-/// timebases), and feed the stage-wait stats windows.
+/// every traced member, link them all to one generated batch span, and fan
+/// the head's captured op spans out to the other members (shifted onto their
+/// timebases).
 fn attribute_stages(
     batch: &[QueuedRequest],
     scope_trace: Option<&mnn_obs::ActiveTrace>,
     marks: &RunMarks,
     scatter_end: Instant,
-    stats: &StatsCollector,
 ) {
-    // Stats stage windows are fed for every request, traced or not: the
-    // dequeue stamp comes from the queue unconditionally.
-    for request in batch {
-        if let Some(dequeued) = request.dequeued {
-            let queue_wait_ms = dequeued
-                .saturating_duration_since(request.enqueued)
-                .as_secs_f64()
-                * 1000.0;
-            let assembly_ms = marks
-                .run_start
-                .map(|rs| rs.saturating_duration_since(dequeued).as_secs_f64() * 1000.0)
-                .unwrap_or(0.0);
-            let id = request.trace.as_ref().map(|trace| trace.trace_id_hex());
-            stats.record_stage_waits(queue_wait_ms, assembly_ms, id.as_deref());
-        }
-    }
     let Some(head) = scope_trace else {
         return;
     };

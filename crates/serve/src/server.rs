@@ -8,7 +8,7 @@ use crate::stats::{ServerStats, StatsCollector};
 use crate::ServeError;
 use mnn_core::{Interpreter, SessionConfig, SessionPool, TuningMode};
 use mnn_graph::Graph;
-use mnn_obs::{ActiveTrace, FlightRecorder, SloConfig, SloSnapshot, SloTracker};
+use mnn_obs::{ActiveTrace, FlightRecorder, SloConfig};
 use mnn_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -176,8 +176,11 @@ impl ServerBuilder {
             .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
 
         let queue = Arc::new(RequestQueue::new(queue_capacity));
-        let slo = self.slo.map(|config| Arc::new(SloTracker::new(config)));
-        let stats = Arc::new(StatsCollector::new(self.max_batch, slo.clone()));
+        let stats = Arc::new(StatsCollector::new(
+            interpreter.graph().name(),
+            self.max_batch,
+            self.slo,
+        ));
         let health = Arc::new(WorkerHealth::new(self.workers));
         let workers = (0..self.workers)
             .map(|index| {
@@ -235,7 +238,6 @@ impl ServerBuilder {
             watchdog: Some(watchdog),
             watchdog_stop,
             watchdog_deadline: self.watchdog_deadline,
-            slo,
         })
     }
 }
@@ -287,7 +289,6 @@ pub struct Server {
     watchdog: Option<JoinHandle<()>>,
     watchdog_stop: Arc<AtomicBool>,
     watchdog_deadline: Duration,
-    slo: Option<Arc<SloTracker>>,
 }
 
 impl Server {
@@ -450,11 +451,6 @@ impl Server {
     /// Configured watchdog deadline (see [`ServerBuilder::watchdog_deadline`]).
     pub fn watchdog_deadline(&self) -> Duration {
         self.watchdog_deadline
-    }
-
-    /// SLO compliance over the rolling window, if an SLO was configured.
-    pub fn slo_snapshot(&self) -> Option<SloSnapshot> {
-        self.slo.as_ref().map(|tracker| tracker.snapshot())
     }
 
     /// The model served by this server.

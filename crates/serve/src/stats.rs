@@ -1,17 +1,27 @@
 //! Server telemetry: counters, latency percentiles and the batch-size histogram.
 
 use crate::health::WorkerHealth;
-use mnn_obs::{SloSnapshot, SloTracker};
+use mnn_obs::{Histogram, SloConfig, SloSnapshot, SloTracker};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Most recent per-request latencies retained for percentile estimation. A
-/// bounded ring keeps the snapshot O(1) in memory under sustained traffic and
-/// biases percentiles toward *current* behavior rather than startup noise.
+/// Most recent served requests retained for percentile estimation. A bounded
+/// ring keeps the snapshot O(1) in memory under sustained traffic and biases
+/// percentiles toward *current* behavior rather than startup noise.
 const LATENCY_WINDOW: usize = 16_384;
+
+/// The times of one served request, milliseconds: end-to-end latency
+/// (enqueue → response), queue wait (enqueue → dequeue) and batch assembly
+/// (dequeue → inference start).
+#[derive(Clone, Copy)]
+pub(crate) struct Served {
+    pub(crate) latency_ms: f64,
+    pub(crate) queue_wait_ms: f64,
+    pub(crate) batch_assembly_ms: f64,
+}
 
 struct StatsInner {
     submitted: u64,
@@ -23,80 +33,81 @@ struct StatsInner {
     aborted: u64,
     /// Worker panics contained by the batch loop / joined at shutdown.
     worker_panics: u64,
-    /// Per-request end-to-end latencies (enqueue → response), milliseconds.
-    latencies_ms: VecDeque<f64>,
-    /// Per-request queue wait (enqueue → dequeue), milliseconds.
-    queue_wait_ms: VecDeque<f64>,
-    /// Per-request batch assembly (dequeue → inference start), milliseconds.
-    batch_assembly_ms: VecDeque<f64>,
+    /// The most recent served requests.
+    window: VecDeque<Served>,
     /// `batch_histogram[k - 1]` counts executed batches of size `k`.
     batch_histogram: Vec<u64>,
+    /// SLO minute-buckets; every batch member's latency/outcome feeds them.
+    slo: Option<SloTracker>,
 }
 
 /// Handles into the process-wide `mnn_obs` registry, registered once per
-/// server so the per-request path never touches the registry lock. These are
-/// *global* series: several servers (one per model) accumulate together.
-struct GlobalMetrics {
+/// server so the per-request path never touches the registry lock. Every
+/// series carries the served graph's name as its `model` label.
+struct ModelMetrics {
     requests: mnn_obs::Counter,
     completed: mnn_obs::Counter,
     errors: mnn_obs::Counter,
     rejected: mnn_obs::Counter,
     aborted: mnn_obs::Counter,
     worker_panics: mnn_obs::Counter,
-    latency_ms: mnn_obs::Histogram,
-    batch_size: mnn_obs::Histogram,
-    queue_wait_ms: mnn_obs::Histogram,
-    batch_assembly_ms: mnn_obs::Histogram,
+    latency_ms: Histogram,
+    batch_size: Histogram,
+    queue_wait_ms: Histogram,
+    batch_assembly_ms: Histogram,
     traces: mnn_obs::Counter,
 }
 
-impl GlobalMetrics {
-    fn register() -> Self {
-        use mnn_obs::metrics::names;
+impl ModelMetrics {
+    fn register(model: &str) -> Self {
+        use mnn_obs::metrics::{names, BATCH_SIZE_BUCKETS, LATENCY_MS_BUCKETS};
         let global = mnn_obs::global();
-        GlobalMetrics {
-            requests: global.counter(
+        let labels = [("model", model)];
+        let counter = |name, help| global.counter_with(name, help, &labels);
+        let histogram = |name, help, buckets| global.histogram_with(name, help, &labels, buckets);
+        ModelMetrics {
+            requests: counter(
                 names::INFER_REQUESTS,
                 "Requests accepted into a serve queue.",
             ),
-            completed: global.counter(names::INFER_COMPLETED, "Requests answered successfully."),
-            errors: global.counter(
+            completed: counter(names::INFER_COMPLETED, "Requests answered successfully."),
+            errors: counter(
                 names::INFER_ERRORS,
                 "Requests answered with an inference error.",
             ),
-            rejected: global.counter(
+            rejected: counter(
                 names::INFER_REJECTED,
                 "Submissions rejected with QueueFull backpressure.",
             ),
-            aborted: global.counter(
+            aborted: counter(
                 names::INFER_ABORTED,
                 "Queued requests failed with ShuttingDown at drain eviction.",
             ),
-            worker_panics: global.counter(
+            worker_panics: counter(
                 names::WORKER_PANICS,
                 "Worker panics contained by the serving runtime.",
             ),
-            latency_ms: global.histogram(
+            latency_ms: histogram(
                 names::INFER_LATENCY_MS,
                 "End-to-end request latency (enqueue to response), milliseconds.",
-                mnn_obs::metrics::LATENCY_MS_BUCKETS,
+                LATENCY_MS_BUCKETS,
             ),
-            batch_size: global.histogram(
+            batch_size: histogram(
                 names::BATCH_SIZE,
                 "Executed micro-batch sizes.",
-                mnn_obs::metrics::BATCH_SIZE_BUCKETS,
+                BATCH_SIZE_BUCKETS,
             ),
-            queue_wait_ms: global.histogram(
+            queue_wait_ms: histogram(
                 names::QUEUE_WAIT_MS,
                 "Time requests spent waiting in serve queues, milliseconds.",
-                mnn_obs::metrics::LATENCY_MS_BUCKETS,
+                LATENCY_MS_BUCKETS,
             ),
-            batch_assembly_ms: global.histogram(
+            batch_assembly_ms: histogram(
                 names::BATCH_ASSEMBLY_MS,
                 "Time from dequeue to inference start (stacking, geometry), milliseconds.",
-                mnn_obs::metrics::LATENCY_MS_BUCKETS,
+                LATENCY_MS_BUCKETS,
             ),
-            traces: global.counter(
+            traces: counter(
                 names::TRACES_RECORDED,
                 "Request traces completed by the flight recorder.",
             ),
@@ -107,14 +118,14 @@ impl GlobalMetrics {
 /// Thread-safe collector the server and its workers write into.
 pub(crate) struct StatsCollector {
     inner: Mutex<StatsInner>,
-    metrics: GlobalMetrics,
+    metrics: ModelMetrics,
     started: Instant,
-    /// Attached SLO tracker; every batch member's latency/outcome feeds it.
-    slo: Option<Arc<SloTracker>>,
 }
 
 impl StatsCollector {
-    pub(crate) fn new(max_batch: usize, slo: Option<Arc<SloTracker>>) -> Self {
+    /// A collector for the model named `model` (the `model` label of its
+    /// series), tracking `slo` when given.
+    pub(crate) fn new(model: &str, max_batch: usize, slo: Option<SloConfig>) -> Self {
         StatsCollector {
             inner: Mutex::new(StatsInner {
                 submitted: 0,
@@ -123,14 +134,12 @@ impl StatsCollector {
                 rejected: 0,
                 aborted: 0,
                 worker_panics: 0,
-                latencies_ms: VecDeque::new(),
-                queue_wait_ms: VecDeque::new(),
-                batch_assembly_ms: VecDeque::new(),
+                window: VecDeque::new(),
                 batch_histogram: vec![0; max_batch.max(1)],
+                slo: slo.map(SloTracker::new),
             }),
-            metrics: GlobalMetrics::register(),
+            metrics: ModelMetrics::register(model),
             started: Instant::now(),
-            slo,
         }
     }
 
@@ -161,15 +170,17 @@ impl StatsCollector {
         self.metrics.worker_panics.inc();
     }
 
-    /// Record one executed batch: its size and each member's latency. A
-    /// member with a trace id attaches it as the latency bucket's exemplar,
-    /// so `/metrics` points straight at a representative trace.
-    pub(crate) fn record_batch(&self, latencies_ms: &[(f64, Option<String>)], ok: bool) {
-        let mut inner = self.lock();
-        let size = latencies_ms.len();
+    /// Record one executed batch and each of its members: the batch-size
+    /// histogram, the outcome counters, the per-request ring, the
+    /// Prometheus histograms and the SLO buckets, under one lock. A member
+    /// with a trace id attaches it to its histogram buckets as their
+    /// exemplar, so `/metrics` points straight at a representative trace.
+    pub(crate) fn record_batch(&self, members: &[(Served, Option<String>)], ok: bool) {
+        let size = members.len();
         if size == 0 {
             return;
         }
+        let mut inner = self.lock();
         let slot = size.min(inner.batch_histogram.len()) - 1;
         inner.batch_histogram[slot] += 1;
         if ok {
@@ -180,54 +191,21 @@ impl StatsCollector {
             self.metrics.errors.add(size as u64);
         }
         self.metrics.batch_size.observe(size as f64);
-        for (latency, trace_id) in latencies_ms {
-            if inner.latencies_ms.len() == LATENCY_WINDOW {
-                inner.latencies_ms.pop_front();
+        for (served, trace_id) in members {
+            if inner.window.len() == LATENCY_WINDOW {
+                inner.window.pop_front();
             }
-            inner.latencies_ms.push_back(*latency);
-            match trace_id {
-                Some(id) => self.metrics.latency_ms.observe_with_exemplar(*latency, id),
-                None => self.metrics.latency_ms.observe(*latency),
-            }
-        }
-        drop(inner);
-        if let Some(slo) = &self.slo {
-            for (latency, _) in latencies_ms {
-                slo.record(*latency, ok);
-            }
-        }
-    }
-
-    /// Record one request's queue-wait and batch-assembly stages (derived
-    /// from the queue's dequeue stamp, so they exist with tracing off too).
-    pub(crate) fn record_stage_waits(
-        &self,
-        queue_wait_ms: f64,
-        batch_assembly_ms: f64,
-        trace_id: Option<&str>,
-    ) {
-        let mut inner = self.lock();
-        if inner.queue_wait_ms.len() == LATENCY_WINDOW {
-            inner.queue_wait_ms.pop_front();
-        }
-        inner.queue_wait_ms.push_back(queue_wait_ms);
-        if inner.batch_assembly_ms.len() == LATENCY_WINDOW {
-            inner.batch_assembly_ms.pop_front();
-        }
-        inner.batch_assembly_ms.push_back(batch_assembly_ms);
-        drop(inner);
-        match trace_id {
-            Some(id) => {
-                self.metrics
-                    .queue_wait_ms
-                    .observe_with_exemplar(queue_wait_ms, id);
-                self.metrics
-                    .batch_assembly_ms
-                    .observe_with_exemplar(batch_assembly_ms, id);
-            }
-            None => {
-                self.metrics.queue_wait_ms.observe(queue_wait_ms);
-                self.metrics.batch_assembly_ms.observe(batch_assembly_ms);
+            inner.window.push_back(*served);
+            let trace_id = trace_id.as_deref();
+            observe(&self.metrics.latency_ms, served.latency_ms, trace_id);
+            observe(&self.metrics.queue_wait_ms, served.queue_wait_ms, trace_id);
+            observe(
+                &self.metrics.batch_assembly_ms,
+                served.batch_assembly_ms,
+                trace_id,
+            );
+            if let Some(slo) = inner.slo.as_mut() {
+                slo.record(served.latency_ms, ok);
             }
         }
     }
@@ -245,12 +223,14 @@ impl StatsCollector {
     ) -> ServerStats {
         let inner = self.lock();
         let uptime_ms = self.started.elapsed().as_secs_f64() * 1000.0;
-        let mut sorted: Vec<f64> = inner.latencies_ms.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let mut queue_wait: Vec<f64> = inner.queue_wait_ms.iter().copied().collect();
-        queue_wait.sort_by(|a, b| a.partial_cmp(b).expect("waits are finite"));
-        let mut assembly: Vec<f64> = inner.batch_assembly_ms.iter().copied().collect();
-        assembly.sort_by(|a, b| a.partial_cmp(b).expect("waits are finite"));
+        let sorted = |field: fn(&Served) -> f64| {
+            let mut values: Vec<f64> = inner.window.iter().map(field).collect();
+            values.sort_by(f64::total_cmp);
+            values
+        };
+        let latency = sorted(|t| t.latency_ms);
+        let queue_wait = sorted(|t| t.queue_wait_ms);
+        let assembly = sorted(|t| t.batch_assembly_ms);
         let batches: u64 = inner.batch_histogram.iter().sum();
         let batched_requests: u64 = inner
             .batch_histogram
@@ -274,9 +254,9 @@ impl StatsCollector {
             } else {
                 0.0
             },
-            mean_latency_ms: mean(&sorted),
-            p50_latency_ms: percentile(&sorted, 50.0),
-            p99_latency_ms: percentile(&sorted, 99.0),
+            mean_latency_ms: mean(&latency),
+            p50_latency_ms: percentile(&latency, 50.0),
+            p99_latency_ms: percentile(&latency, 99.0),
             queue_wait_p50_ms: percentile(&queue_wait, 50.0),
             queue_wait_p99_ms: percentile(&queue_wait, 99.0),
             batch_assembly_p50_ms: percentile(&assembly, 50.0),
@@ -297,8 +277,15 @@ impl StatsCollector {
             worker_states: health.map_or_else(Vec::new, |h| {
                 h.states().iter().map(|s| s.as_str().to_string()).collect()
             }),
-            slo: self.slo.as_ref().map(|tracker| tracker.snapshot()),
+            slo: inner.slo.as_ref().map(SloTracker::snapshot),
         }
+    }
+}
+
+fn observe(histogram: &Histogram, value: f64, trace_id: Option<&str>) {
+    match trace_id {
+        Some(id) => histogram.observe_with_exemplar(value, id),
+        None => histogram.observe(value),
     }
 }
 
@@ -362,7 +349,7 @@ pub struct ServerStats {
     /// 99th-percentile end-to-end latency over the recent window.
     pub p99_latency_ms: f64,
     /// Median time requests spent waiting in the queue (enqueue → dequeue)
-    /// over the recent window, from the tracing stage spans.
+    /// over the recent window.
     pub queue_wait_p50_ms: f64,
     /// 99th-percentile queue wait over the recent window.
     pub queue_wait_p99_ms: f64,
@@ -433,6 +420,23 @@ impl fmt::Display for ServerStats {
 mod tests {
     use super::*;
 
+    fn member(
+        latency_ms: f64,
+        queue_wait_ms: f64,
+        trace_id: Option<&str>,
+    ) -> (Served, Option<String>) {
+        let served = Served {
+            latency_ms,
+            queue_wait_ms,
+            batch_assembly_ms: queue_wait_ms / 10.0,
+        };
+        (served, trace_id.map(str::to_string))
+    }
+
+    fn members(latencies_ms: &[f64]) -> Vec<(Served, Option<String>)> {
+        latencies_ms.iter().map(|&l| member(l, 0.0, None)).collect()
+    }
+
     #[test]
     fn percentiles_use_nearest_rank() {
         let sorted: Vec<f64> = (1..=100).map(|v| v as f64).collect();
@@ -445,13 +449,13 @@ mod tests {
 
     #[test]
     fn batches_feed_histogram_and_counters() {
-        let stats = StatsCollector::new(4, None);
+        let stats = StatsCollector::new("stats-test", 4, None);
         stats.record_submitted();
         stats.record_submitted();
         stats.record_submitted();
-        stats.record_batch(&[(1.0, None), (2.0, None)], true);
-        stats.record_batch(&[(3.0, None)], true);
-        stats.record_batch(&[(4.0, Some("deadbeef".into()))], false);
+        stats.record_batch(&members(&[1.0, 2.0]), true);
+        stats.record_batch(&members(&[3.0]), true);
+        stats.record_batch(&[member(4.0, 0.0, Some("deadbeef"))], false);
         let snap = stats.snapshot(5, 2, None);
         assert_eq!(snap.submitted, 3);
         assert_eq!(snap.completed, 3);
@@ -465,7 +469,7 @@ mod tests {
 
     #[test]
     fn panics_and_evictions_become_counters() {
-        let stats = StatsCollector::new(2, None);
+        let stats = StatsCollector::new("stats-test", 2, None);
         stats.record_worker_panic();
         stats.record_aborted(3);
         let snap = stats.snapshot(0, 1, None);
@@ -477,11 +481,11 @@ mod tests {
 
     #[test]
     fn stage_waits_surface_as_percentiles() {
-        let stats = StatsCollector::new(4, None);
+        let stats = StatsCollector::new("stats-test", 4, None);
         for wait in [1.0, 2.0, 3.0, 4.0] {
-            stats.record_stage_waits(wait, wait / 10.0, None);
+            stats.record_batch(&[member(wait, wait, None)], true);
         }
-        stats.record_stage_waits(100.0, 10.0, Some("deadbeef"));
+        stats.record_batch(&[member(100.0, 100.0, Some("deadbeef"))], true);
         let snap = stats.snapshot(0, 1, None);
         assert_eq!(snap.queue_wait_p50_ms, 3.0);
         assert_eq!(snap.queue_wait_p99_ms, 100.0);
@@ -491,8 +495,8 @@ mod tests {
 
     #[test]
     fn oversized_batches_fold_into_last_bucket() {
-        let stats = StatsCollector::new(2, None);
-        stats.record_batch(&[(1.0, None), (1.0, None), (1.0, None)], true); // size 3 with max_batch 2
+        let stats = StatsCollector::new("stats-test", 2, None);
+        stats.record_batch(&members(&[1.0, 1.0, 1.0]), true); // size 3 with max_batch 2
         let snap = stats.snapshot(0, 1, None);
         assert_eq!(snap.batch_histogram, vec![(2, 1)]);
     }
@@ -549,8 +553,8 @@ mod tests {
 
     #[test]
     fn display_is_human_readable() {
-        let stats = StatsCollector::new(4, None);
-        stats.record_batch(&[(1.0, None), (2.0, None), (3.0, None), (4.0, None)], true);
+        let stats = StatsCollector::new("stats-test", 4, None);
+        stats.record_batch(&members(&[1.0, 2.0, 3.0, 4.0]), true);
         let text = stats.snapshot(0, 2, None).to_string();
         assert!(text.contains("throughput"));
         assert!(text.contains("queue wait"));

@@ -374,3 +374,36 @@ fn tuned_server_prewarms_with_one_shared_tuning_pass() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// Serve series carry the served graph's name as their `model` label, so
+/// `/metrics` counts one model's traffic exactly while the other tests in
+/// this binary serve `tiny-cnn` into the same registry.
+#[test]
+fn per_model_series_count_exactly_the_requests_served() {
+    use mnn_graph::{ActivationKind, GraphBuilder};
+    let mut b = GraphBuilder::new("metrics-label-probe");
+    let x = b.input("data", Shape::nchw(1, 3, 4, 4));
+    let y = b.activation("relu", x, ActivationKind::Relu);
+    let server = Server::builder()
+        .workers(1)
+        .build(b.build(vec![y]))
+        .unwrap();
+    const N: u64 = 7;
+    for seed in 0..N {
+        server
+            .infer(&[("data", &deterministic_input(4, seed))])
+            .unwrap();
+    }
+    let text = mnn_obs::global().render_prometheus();
+    for series in [
+        "mnn_infer_requests_total",
+        "mnn_infer_completed_total",
+        "mnn_infer_latency_ms_count",
+    ] {
+        let line = format!("{series}{{model=\"metrics-label-probe\"}} {N}");
+        assert!(
+            text.lines().any(|l| l == line),
+            "missing `{line}` in:\n{text}"
+        );
+    }
+}

@@ -192,3 +192,67 @@ fn concurrent_producers_never_leak_spans_across_traces() {
             .any(|s| s.name == "queue_wait" && s.depth == 1));
     }
 }
+
+/// The executor times each node once and hands the same spans to both
+/// consumers: a profiled run inside a trace scope leaves the profiler's
+/// retained node spans and the trace's op spans identical, down to the bits
+/// of every duration.
+#[test]
+fn profiler_and_trace_share_one_span_stream() {
+    #[derive(serde::Deserialize)]
+    struct Args {
+        op: String,
+        scheme: String,
+        placement: String,
+        shape: String,
+        bytes: u64,
+    }
+    #[derive(serde::Deserialize)]
+    struct Event {
+        name: String,
+        dur: f64,
+        args: Args,
+    }
+    #[allow(non_snake_case)]
+    #[derive(serde::Deserialize)]
+    struct ChromeTrace {
+        traceEvents: Vec<Event>,
+    }
+
+    let profiler = Arc::new(mnn_obs::Profiler::new());
+    let config = mnn_core::SessionConfig::builder()
+        .threads(1)
+        .profiling(Arc::clone(&profiler))
+        .build();
+    let mut session = mnn_core::Interpreter::from_graph(build(ModelKind::TinyCnn, 1, 16))
+        .unwrap()
+        .create_session(config)
+        .unwrap();
+    let recorder = Arc::new(FlightRecorder::new());
+    let trace = recorder.begin_trace(None).unwrap();
+    {
+        let _scope = trace.enter();
+        session.run_with(&[("data", &input())]).unwrap();
+    }
+    trace.finish(200);
+
+    let ops = &recorder.recent()[0].ops;
+    let profiled: ChromeTrace = serde_json::from_str(&profiler.chrome_trace()).unwrap();
+    let nodes: Vec<&Event> = profiled
+        .traceEvents
+        .iter()
+        .filter(|e| e.name != "run")
+        .collect();
+    assert!(!ops.is_empty());
+    assert_eq!(nodes.len(), ops.len());
+    for (node, op) in nodes.iter().zip(ops) {
+        assert_eq!(node.name, op.name);
+        assert_eq!(node.args.op, op.op);
+        assert_eq!(node.args.scheme, op.scheme);
+        assert_eq!(node.args.placement, op.placement);
+        assert_eq!(node.args.shape, op.shape);
+        assert_eq!(node.args.bytes, op.bytes);
+        assert_eq!(node.dur.to_bits(), op.dur_us.to_bits(), "{}", op.name);
+        assert_eq!(op.trace_id, trace.trace_id_hex());
+    }
+}

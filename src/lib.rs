@@ -350,18 +350,21 @@
 //!   [`Profiler`](mnn_obs::Profiler) via
 //!   [`SessionConfigBuilder::profiling`](SessionConfig) and every session run
 //!   records one span per executed node (op, kernel scheme, placement, shape,
-//!   wall time, bytes moved). When no profiler is attached — the default —
-//!   the execution loop skips all timestamping; when attached but disabled,
-//!   the cost is one atomic load per run. [`Profiler::report`] aggregates
-//!   into a per-op-type table with hottest nodes and a coverage figure
-//!   (how much of the measured wall time the spans account for), and
-//!   [`Profiler::chrome_trace`] exports the raw spans as chrome://tracing
-//!   JSON.
+//!   wall time, bytes moved). Each node is timed once into one per-run span
+//!   buffer ([`RunSpans`](mnn_obs::RunSpans)) that feeds both the profiler
+//!   and the active request trace. When no profiler is attached — the
+//!   default — and no trace collects ops, the execution loop skips all
+//!   timestamping; when attached but disabled, the cost is one atomic load
+//!   per run. [`Profiler::report`] aggregates into a per-op-type table with
+//!   hottest nodes and a coverage figure (how much of the measured wall time
+//!   the spans account for), and [`Profiler::chrome_trace`] exports the raw
+//!   spans as chrome://tracing JSON.
 //! * **Process-wide metrics** — lock-free counters, gauges and histograms
 //!   under stable `mnn_*` names ([`obs::metrics::names`](mnn_obs::metrics::names)),
 //!   written by session preparation, the plan cache, the tuner, the serving
-//!   queue/batcher/workers and the HTTP frontend, and rendered in Prometheus
-//!   text exposition format — `GET /metrics` on `mnn_http` serves exactly
+//!   queue/batcher/workers (labeled by `model`) and the HTTP frontend, and
+//!   rendered in Prometheus text exposition format — `GET /metrics` on
+//!   `mnn_http` serves exactly
 //!   [`obs::metrics::render_global`](mnn_obs::metrics::render_global).
 //! * **A log facade** — leveled `error!`/`warn!`/`info!`/`debug!`/`trace!`
 //!   macros with an `MNN_LOG` environment filter and a replaceable sink, so
@@ -504,7 +507,7 @@
 //! assert_eq!(scope.components[0].component, "arena");
 //!
 //! // The SLO tracker: sliding one-minute buckets, compliance + burn rate.
-//! let slo = SloTracker::new(SloConfig { latency_p99_ms: 250.0, availability: 0.999 });
+//! let mut slo = SloTracker::new(SloConfig { latency_p99_ms: 250.0, availability: 0.999 });
 //! for _ in 0..100 {
 //!     slo.record(3.0, true);
 //! }
